@@ -145,12 +145,14 @@ pub trait TripletUpdate: Scorer + Sync {
     fn apply_item(&mut self, v: usize, lr: f32, upd: &[f32]);
 }
 
-const ROW_USER: u64 = 0;
-const ROW_ITEM: u64 = 1;
+const ROW_USER: usize = 0;
+const ROW_ITEM: usize = 1;
 
+/// Accumulator key of a user or item row: dense, so the accumulator's
+/// direct index stays twice the larger table.
 #[inline]
-fn row_key(kind: u64, row: usize) -> u64 {
-    ((row as u64) << 1) | kind
+fn row_key(kind: usize, row: usize) -> usize {
+    (row << 1) | kind
 }
 
 /// The engines' shared batch source: a counter-keyed [`TripletBatcher`]
@@ -446,8 +448,8 @@ fn accumulate_shard<M: TripletUpdate>(
 }
 
 fn apply_accumulated<M: TripletUpdate>(model: &mut M, acc: &mut GradAccumulator, lr: f32) {
-    acc.drain(|key, upd, _| {
-        let row = (key >> 1) as usize;
+    acc.drain(|key, upd| {
+        let row = key >> 1;
         if key & 1 == ROW_USER {
             model.apply_user(row, lr, upd);
         } else {

@@ -78,7 +78,7 @@ fn main() {
         let mut cfg = base.clone();
         cfg.batch_mode = v.mode;
         cfg.threads = v.threads;
-        let effective_threads = mars_optim::resolve_threads(v.threads);
+        let effective_threads = mars_runtime::resolve_threads(v.threads);
         // Warm-up run (page in the dataset, JIT the branch predictors),
         // then best-of-two measured runs.
         let _ = Trainer::new(cfg.clone()).fit(&data.dataset);

@@ -115,10 +115,12 @@ pub struct MarsConfig {
     /// standard stochastic realization (and matches the update budget of
     /// the pointwise baselines).
     pub negatives_per_positive: usize,
-    /// Draw batch `b + 1` on a background thread while batch `b` trains.
-    /// The triplet stream is identical either way — batches are pure
-    /// functions of `(seed, index)` (see `mars-data::batch`) — so this is a
-    /// pure throughput knob.
+    /// Draw batch `b + 1` on a background thread while batch `b` trains —
+    /// when the machine has a core to spare beyond the training threads and
+    /// the filler; otherwise the trainer fills inline (see
+    /// `trainer::prefetch_has_headroom`). The triplet stream is identical
+    /// either way — batches are pure functions of `(seed, index)` (see
+    /// `mars-data::batch`) — so this is a pure throughput knob.
     pub prefetch: bool,
     /// How many steps between spectral re-clipping of the projection
     /// matrices in factored mode (0 = every epoch end only).

@@ -185,6 +185,15 @@ impl FacetTable {
         &self.data[r * per..(r + 1) * per]
     }
 
+    /// Mutable [`Self::entity`] block — the batched engine steps all `K`
+    /// facets of an entity in place with one fused kernel call.
+    #[inline]
+    pub fn entity_mut(&mut self, r: usize) -> &mut [f32] {
+        debug_assert!(r < self.rows);
+        let per = self.facets * self.dim;
+        &mut self.data[r * per..(r + 1) * per]
+    }
+
     /// Flat buffer.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {

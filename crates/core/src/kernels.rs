@@ -5,7 +5,9 @@
 //! `mars_tensor::rows`), so one kernel call covers all `K` facets of an
 //! entity:
 //!
-//! * [`similarities`] — per-facet `g_k` (Eq. 3 Euclidean / Eq. 13 spherical);
+//! * [`similarities`] — per-facet `g_k` (Eq. 3 Euclidean / Eq. 13 spherical),
+//!   and [`similarities_normed`] + [`row_norms`] for callers that hold one
+//!   side's norms across several calls (bit-identical values);
 //! * [`similarity_gradients`] — the ambient gradients of the weighted
 //!   similarity terms w.r.t. the user / positive / negative facet sets;
 //! * [`Scratch`] — the reusable per-triplet work buffers (perf-book:
@@ -23,9 +25,55 @@ pub fn facet_similarity(geometry: Geometry, a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
+/// `ops::cosine`'s normalization, zero guard and clamp applied to a dot
+/// product and norms the caller already holds — the one definition behind
+/// both [`similarities`] entry points, so they agree bitwise with it.
+#[inline]
+fn cosine_from_parts(dot: f32, na: f32, nb: f32) -> f32 {
+    if na <= f32::MIN_POSITIVE || nb <= f32::MIN_POSITIVE {
+        0.0
+    } else {
+        (dot / (na * nb)).clamp(-1.0, 1.0)
+    }
+}
+
+/// Norm of every row of a flat `K × dim` facet set: the cosine
+/// denominators, which the batched engine computes once per entity and
+/// reuses across a run of triplets that share it.
+pub fn row_norms(a: &[f32], dim: usize, out: &mut [f32]) {
+    for (r, o) in out.iter_mut().enumerate() {
+        *o = ops::norm(rows::row(a, dim, r));
+    }
+}
+
 /// All `K` per-facet similarities between two flat facet sets:
 /// `out[k] = g_k(a_k, b_k)`.
 pub fn similarities(geometry: Geometry, a: &[f32], b: &[f32], dim: usize, out: &mut [f32]) {
+    match geometry {
+        Geometry::Euclidean => similarities_normed(geometry, a, &[], b, &[], dim, out),
+        Geometry::Spherical => {
+            rows::dot_rows(a, b, dim, out);
+            for (r, o) in out.iter_mut().enumerate() {
+                let na = ops::norm(rows::row(a, dim, r));
+                let nb = ops::norm(rows::row(b, dim, r));
+                *o = cosine_from_parts(*o, na, nb);
+            }
+        }
+    }
+}
+
+/// [`similarities`] with both sides' [`row_norms`] supplied by the caller
+/// (read only in the spherical geometry) — bit-identical values, without
+/// recomputing the norms of a facet set that several triplets share.
+pub fn similarities_normed(
+    geometry: Geometry,
+    a: &[f32],
+    na: &[f32],
+    b: &[f32],
+    nb: &[f32],
+    dim: usize,
+    out: &mut [f32],
+) {
     match geometry {
         Geometry::Euclidean => {
             rows::dist_sq_rows(a, b, dim, out);
@@ -34,17 +82,9 @@ pub fn similarities(geometry: Geometry, a: &[f32], b: &[f32], dim: usize, out: &
             }
         }
         Geometry::Spherical => {
-            // Fused dots, then the same normalization/guard/clamp as
-            // `ops::cosine` so the two entry points agree bitwise.
             rows::dot_rows(a, b, dim, out);
-            for (r, o) in out.iter_mut().enumerate() {
-                let na = ops::norm(rows::row(a, dim, r));
-                let nb = ops::norm(rows::row(b, dim, r));
-                *o = if na <= f32::MIN_POSITIVE || nb <= f32::MIN_POSITIVE {
-                    0.0
-                } else {
-                    (*o / (na * nb)).clamp(-1.0, 1.0)
-                };
+            for (o, (&na, &nb)) in out.iter_mut().zip(na.iter().zip(nb)) {
+                *o = cosine_from_parts(*o, na, nb);
             }
         }
     }
@@ -72,9 +112,6 @@ pub fn similarity_gradients(
     dq: &mut [f32],
     dim: usize,
 ) {
-    du.fill(0.0);
-    dp.fill(0.0);
-    dq.fill(0.0);
     let k = rows::row_count(uf, dim);
     debug_assert_eq!(w_p.len(), k);
     debug_assert_eq!(w_q.len(), k);
@@ -96,6 +133,9 @@ pub fn similarity_gradients(
             }
         }
         Geometry::Spherical => {
+            du.fill(0.0);
+            dp.fill(0.0);
+            dq.fill(0.0);
             rows::axpy_rows(w_p, pf, du, dim);
             rows::axpy_rows(w_q, qf, du, dim);
             rows::axpy_rows(w_p, uf, dp, dim);
@@ -120,6 +160,12 @@ pub struct Scratch {
     /// Per-facet similarities to the positive / negative (`K`).
     pub(crate) gp: Vec<f32>,
     pub(crate) gq: Vec<f32>,
+    /// Facet-row norms of the user / positive / negative (`K`; batched
+    /// engine, spherical geometry — the first two live for a whole run of
+    /// triplets sharing the entity).
+    pub(crate) nu: Vec<f32>,
+    pub(crate) np: Vec<f32>,
+    pub(crate) nq: Vec<f32>,
     /// Per-facet loss weights `c · θ_u^k` (`K`).
     pub(crate) w_p: Vec<f32>,
     pub(crate) w_q: Vec<f32>,
@@ -150,6 +196,9 @@ impl Scratch {
             theta: kv(),
             gp: kv(),
             gq: kv(),
+            nu: kv(),
+            np: kv(),
+            nq: kv(),
             w_p: kv(),
             w_q: kv(),
             theta_upstream: kv(),

@@ -16,9 +16,10 @@
 //!   facet embeddings), cross-facet similarity (Eq. 4 / Eq. 14), scoring,
 //!   and the per-triplet **reference** update path;
 //! * [`engine`] — the batched path: gradients for a mini-batch accumulate
-//!   against frozen parameters in an [`engine::BatchAccum`] and every
-//!   touched row takes one optimizer step; numerically equivalent to the
-//!   reference path at batch size 1 (`tests/grad_check.rs`);
+//!   against frozen parameters in an [`engine::BatchAccum`] — one block per
+//!   touched entity — and every touched entity takes one fused optimizer
+//!   step over all its rows; numerically equivalent to the reference path
+//!   at batch size 1 (`tests/grad_check.rs`);
 //! * [`trainer::Trainer`] — the epoch loop wiring in adaptive margins
 //!   (Eq. 7), explorative sampling (Eq. 10), dev-set tracking, the
 //!   projection constraints, and — in batched mode — user-sharded

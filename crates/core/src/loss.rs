@@ -106,30 +106,35 @@ pub fn facet_separation(
     let mut loss = 0.0;
     for i in 0..k {
         for j in (i + 1)..k {
+            let (fi, fj) = (rows::row(facets, dim, i), rows::row(facets, dim, j));
+            // Split borrows: rows i < j of `grads` as two disjoint slices,
+            // so the update loops carry no aliasing and vectorize.
+            let (head, tail) = grads.split_at_mut(j * dim);
+            let gi = &mut head[i * dim..(i + 1) * dim];
+            let gj = &mut tail[..dim];
+            let terms = gi.iter_mut().zip(gj).zip(fi.iter().zip(fj));
+            // One `exp` serves the loss value (softplus) and its slope
+            // (sigmoid) — see `nonlin::softplus_sigmoid`.
             match geometry {
                 Geometry::Euclidean => {
-                    let d2 = ops::dist_sq(rows::row(facets, dim, i), rows::row(facets, dim, j));
-                    loss += nonlin::softplus(-alpha * d2) / alpha;
+                    let (value, slope) = nonlin::softplus_sigmoid(-alpha * ops::dist_sq(fi, fj));
+                    loss += value / alpha;
                     // ∂/∂d² [(1/α)softplus(−αd²)] = −σ(−αd²); ∂d²/∂f_i = 2(f_i − f_j).
-                    let coeff = -nonlin::sigmoid(-alpha * d2);
-                    let w = lambda_facet * coeff * 2.0;
-                    for idx in 0..dim {
-                        let diff = facets[i * dim + idx] - facets[j * dim + idx];
-                        grads[i * dim + idx] += w * diff;
-                        grads[j * dim + idx] -= w * diff;
+                    let w = lambda_facet * -slope * 2.0;
+                    for ((gi, gj), (&a, &b)) in terms {
+                        let diff = a - b;
+                        *gi += w * diff;
+                        *gj -= w * diff;
                     }
                 }
                 Geometry::Spherical => {
-                    let c = ops::dot(rows::row(facets, dim, i), rows::row(facets, dim, j));
-                    loss += nonlin::softplus(alpha * c) / alpha;
-                    let coeff = nonlin::sigmoid(alpha * c);
+                    let (value, slope) = nonlin::softplus_sigmoid(alpha * ops::dot(fi, fj));
+                    loss += value / alpha;
                     // Ambient bilinear gradient of cos (see model docs note 2).
-                    let w = lambda_facet * coeff;
-                    for idx in 0..dim {
-                        let fi = facets[i * dim + idx];
-                        let fj = facets[j * dim + idx];
-                        grads[i * dim + idx] += w * fj;
-                        grads[j * dim + idx] += w * fi;
+                    let w = lambda_facet * slope;
+                    for ((gi, gj), (&a, &b)) in terms {
+                        *gi += w * b;
+                        *gj += w * a;
                     }
                 }
             }

@@ -76,6 +76,16 @@ pub enum Params {
     },
 }
 
+/// Result of [`MultiFacetModel::norm_report`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct NormReport {
+    /// Largest distance of a constrained row's norm from its constraint
+    /// (0 when every row satisfies it exactly).
+    pub max_drift: f32,
+    /// Whether every trainable parameter is finite.
+    pub finite: bool,
+}
+
 /// The MAR / MARS model.
 #[derive(Clone, Debug)]
 pub struct MultiFacetModel {
@@ -289,35 +299,38 @@ impl MultiFacetModel {
         self.gather_item_facets(t.negative, &mut s.qf);
     }
 
-    /// Shared gradient staging for both training paths. Expects `s.theta`
-    /// and the gathered facet sets (`s.uf/pf/qf`) to be filled; computes the
-    /// similarity gradients into `s.du/dp/dq` (overwriting) and the Θ-logit
-    /// gradient into `s.theta_grad`. Returns `(push, pull)`.
+    /// Gradient staging of the per-triplet reference path (and the batched
+    /// engine's factored mode). Expects `s.theta` and the gathered facet
+    /// sets (`s.uf/pf/qf`) to be filled; computes the similarity gradients
+    /// into `s.du/dp/dq` (overwriting) and the Θ-logit gradient into
+    /// `s.theta_grad`. Returns `(push, pull)`.
     pub(crate) fn stage_triplet(&self, gamma: f32, s: &mut Scratch) -> (f32, f32) {
         let geometry = self.cfg.geometry;
         let d = self.cfg.dim;
-        let k = self.cfg.facets;
-
         kernels::similarities(geometry, &s.uf, &s.pf, d, &mut s.gp);
         kernels::similarities(geometry, &s.uf, &s.qf, d, &mut s.gq);
-        let s_p = ops::dot(&s.theta, &s.gp);
-        let s_q = ops::dot(&s.theta, &s.gq);
-
-        let (push, pull, c_p, c_q) = loss::push_pull(gamma, s_p, s_q, self.cfg.lambda_pull);
-        for f in 0..k {
-            s.w_p[f] = c_p * s.theta[f];
-            s.w_q[f] = c_q * s.theta[f];
-        }
+        let loss = self.stage_weights(gamma, s);
         kernels::similarity_gradients(
             geometry, &s.w_p, &s.w_q, &s.uf, &s.pf, &s.qf, &mut s.du, &mut s.dp, &mut s.dq, d,
         );
+        loss
+    }
 
-        // Θ logits gradient through the softmax parameterization.
-        for f in 0..k {
+    /// The `K`-wide middle of the gradient staging, shared by both training
+    /// paths: from `s.theta` and the per-facet similarities `s.gp` / `s.gq`
+    /// to the per-facet loss weights `s.w_p` / `s.w_q` and the Θ-logit
+    /// gradient `s.theta_grad`. Returns `(push, pull)`.
+    pub(crate) fn stage_weights(&self, gamma: f32, s: &mut Scratch) -> (f32, f32) {
+        let s_p = ops::dot(&s.theta, &s.gp);
+        let s_q = ops::dot(&s.theta, &s.gq);
+        let (push, pull, c_p, c_q) = loss::push_pull(gamma, s_p, s_q, self.cfg.lambda_pull);
+        for f in 0..self.cfg.facets {
+            s.w_p[f] = c_p * s.theta[f];
+            s.w_q[f] = c_q * s.theta[f];
+            // Θ logits gradient through the softmax parameterization.
             s.theta_upstream[f] = c_p * s.gp[f] + c_q * s.gq[f];
         }
         nonlin::softmax_backward(&s.theta, &s.theta_upstream, &mut s.theta_grad);
-
         (push, pull)
     }
 
@@ -462,31 +475,55 @@ impl MultiFacetModel {
         }
     }
 
-    /// Checks the geometry invariant: unit sphere (direct+spherical) or unit
-    /// ball (facet norms ≤ 1 + tol elsewhere).
-    pub fn check_norm_invariant(&self, tol: f32) -> bool {
-        match (&self.params, self.cfg.geometry) {
-            (
-                Params::Direct {
-                    user_facets,
-                    item_facets,
-                },
-                Geometry::Spherical,
-            ) => user_facets.all_unit(tol) && item_facets.all_unit(tol),
-            (
-                Params::Direct {
-                    user_facets,
-                    item_facets,
-                },
-                Geometry::Euclidean,
-            ) => user_facets.max_norm() <= 1.0 + tol && item_facets.max_norm() <= 1.0 + tol,
-            (
-                Params::Factored {
-                    user_emb, item_emb, ..
-                },
-                _,
-            ) => user_emb.max_row_norm() <= 1.0 + tol && item_emb.max_row_norm() <= 1.0 + tol,
+    /// How far the parameters are from their constraint set, and whether
+    /// they are all finite — the numeric guard the trainer evaluates at
+    /// every epoch boundary. Drift is `max |‖row‖ − 1|` on the unit sphere
+    /// (direct + spherical) and `max(‖row‖ − 1, 0)` under the unit-ball
+    /// constraint (facet rows in direct + Euclidean mode, universal
+    /// embeddings in factored mode).
+    pub fn norm_report(&self) -> NormReport {
+        let (tables, sphere) = match &self.params {
+            Params::Direct {
+                user_facets,
+                item_facets,
+            } => (
+                [user_facets.as_slice(), item_facets.as_slice()],
+                self.cfg.geometry == Geometry::Spherical,
+            ),
+            Params::Factored {
+                user_emb, item_emb, ..
+            } => ([user_emb.as_slice(), item_emb.as_slice()], false),
+        };
+        let mut report = NormReport {
+            max_drift: 0.0,
+            finite: self.theta_logits.as_slice().iter().all(|v| v.is_finite()),
+        };
+        if let Params::Factored { phi, psi, .. } = &self.params {
+            report.finite &= phi
+                .iter()
+                .chain(psi)
+                .all(|m| m.as_slice().iter().all(|v| v.is_finite()));
         }
+        for row in tables.iter().flat_map(|t| t.chunks_exact(self.cfg.dim)) {
+            // A NaN or infinite entry makes the norm non-finite, so one
+            // reduction per row answers both questions.
+            let n = ops::norm(row);
+            if !n.is_finite() {
+                report.finite = false;
+                continue;
+            }
+            let drift = if sphere { (n - 1.0).abs() } else { n - 1.0 };
+            report.max_drift = report.max_drift.max(drift);
+        }
+        report
+    }
+
+    /// Checks the geometry invariant within `tol`: every parameter finite,
+    /// and on the unit sphere (direct+spherical) or inside the unit ball
+    /// (elsewhere) — see [`MultiFacetModel::norm_report`].
+    pub fn check_norm_invariant(&self, tol: f32) -> bool {
+        let report = self.norm_report();
+        report.finite && report.max_drift <= tol
     }
 
     /// Evaluation-time loss of a triplet (no update) — used by the gradient

@@ -23,9 +23,11 @@
 //!
 //! Triplet *sampling* is identical in both modes — and, since PR 4, a pure
 //! function of `(seed, batch index)`: the trainer consumes the
-//! counter-keyed [`TripletBatcher`] through a prefetching
-//! [`TripletStream`] (batch `b + 1` is drawn on a background thread while
-//! batch `b` trains; see the determinism contract in `mars-data::batch`).
+//! counter-keyed [`TripletBatcher`] through a [`TripletStream`] (with
+//! [`MarsConfig::prefetch`] and a core to spare beyond the training threads
+//! and the filler, batch `b + 1` is drawn on a background thread while
+//! batch `b` trains, otherwise it is drawn inline; see the determinism
+//! contract in `mars-data::batch`).
 //! Switching engines changes update scheduling, never the data order.
 
 use crate::config::{BatchMode, MarsConfig, NegativeSampling, UserSampling};
@@ -59,6 +61,16 @@ pub struct EpochStats {
     pub mean_facet: f32,
     /// Dev HR@10 if dev evaluation was enabled.
     pub dev_hr10: Option<f32>,
+    /// Numeric guard, evaluated at the epoch boundary in every build: how
+    /// far the worst parameter row sits from its constraint (`|‖x‖ − 1|` on
+    /// the sphere, `max(‖x‖ − 1, 0)` under the ball constraint; see
+    /// [`MultiFacetModel::norm_report`]) …
+    pub max_norm_drift: f32,
+    /// … whether every parameter is still finite …
+    pub params_finite: bool,
+    /// … and how many row steps the batched engine skipped this epoch
+    /// because the row's summed gradient was not finite.
+    pub nonfinite_rows: u64,
 }
 
 /// The result of [`Trainer::fit`].
@@ -173,9 +185,12 @@ impl Trainer {
         // Worker state is only needed by the batched engine; the per-triplet
         // reference path must not pay for per-thread accumulators.
         let mut shards = match cfg.batch_mode {
-            BatchMode::Batched => Some(Shards::new(cfg, mars_optim::resolve_threads(cfg.threads))),
+            BatchMode::Batched => {
+                Some(Shards::new(cfg, mars_runtime::resolve_threads(cfg.threads)))
+            }
             BatchMode::PerTriplet => None,
         };
+        let workers = shards.as_ref().map_or(1, |sh| sh.shards.len());
         let mut scratch = Scratch::new(cfg.facets, cfg.dim);
         let mut clip = ClipCadence {
             every: cfg.spectral_clip_every,
@@ -193,10 +208,11 @@ impl Trainer {
             TripletBatcher::with_negatives(user_sampler, neg, slots, k, seeds::sampling(cfg.seed));
         let batches_per_epoch = batcher.batches_per_epoch(x);
         let mut buf: Vec<(Triplet, f32)> = Vec::with_capacity(slots * k);
-        let mut history = Vec::with_capacity(cfg.epochs);
+        let mut history: Vec<EpochStats> = Vec::with_capacity(cfg.epochs);
+        let mut skipped_so_far = 0u64;
 
         std::thread::scope(|scope| {
-            let mode = if cfg.prefetch {
+            let mode = if cfg.prefetch && prefetch_has_headroom(workers) {
                 FillMode::Prefetch
             } else {
                 FillMode::Serial
@@ -235,6 +251,9 @@ impl Trainer {
                     }
                 }
                 model.enforce_projection_constraint();
+                let norms = model.norm_report();
+                let skipped = shards.as_ref().map_or(0, Shards::nonfinite_rows);
+                let skipped_before = std::mem::replace(&mut skipped_so_far, skipped);
 
                 let n = sums.count.max(1) as f64;
                 let dev_hr10 = if self.dev_eval_every > 0
@@ -252,16 +271,39 @@ impl Trainer {
                     mean_pull: (sums.pull / n) as f32,
                     mean_facet: (sums.facet / n) as f32,
                     dev_hr10,
+                    max_norm_drift: norms.max_drift,
+                    params_finite: norms.finite,
+                    nonfinite_rows: skipped - skipped_before,
                 });
             }
         });
 
         debug_assert!(
-            model.check_norm_invariant(1e-3),
+            history
+                .last()
+                .is_none_or(|e| e.params_finite && e.max_norm_drift <= 1e-3),
             "norm invariant violated after training"
         );
         TrainOutcome { model, history }
     }
+}
+
+/// Whether a background filler thread can overlap with `workers` training
+/// threads on this machine: it needs a core of its own **and** one more
+/// left over for everything else that runs.
+///
+/// The filler is a short periodic task (awake for a few percent of a
+/// batch). With exactly `workers + 1` cores nothing absorbs the rest of
+/// the system's activity, and once the scheduler has placed the filler on a
+/// training thread's core it stays there: on a 2-vCPU Linux guest,
+/// `threads = 1`, whole fits ran in one of two states — fill overlapped, or
+/// fill timesharing the trainer's core and adding its full cost (≈ 45 ns
+/// per triplet, 8 % of a MAR batch) — and with `threads = 2` the filler was
+/// a third thread on two cores (fit wall 2.09–2.38 s against 2.33–2.37 s
+/// filled inline). An inline fill costs the overlap but is the same every
+/// run; the triplet stream is identical either way.
+fn prefetch_has_headroom(workers: usize) -> bool {
+    mars_runtime::resolve_threads(0) >= workers + 2
 }
 
 /// Spectral-clip cadence bookkeeping (factored mode; no-op for direct).
@@ -316,6 +358,17 @@ impl Shards {
             pool,
             merged: BatchAccum::new(cfg),
         }
+    }
+
+    /// Row steps skipped for a non-finite gradient since the fit began
+    /// (whichever accumulator a batch was finished through counted them).
+    fn nonfinite_rows(&self) -> u64 {
+        self.merged.nonfinite_rows()
+            + self
+                .shards
+                .iter()
+                .map(|sh| sh.acc.nonfinite_rows())
+                .sum::<u64>()
     }
 }
 

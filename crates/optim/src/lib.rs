@@ -30,10 +30,6 @@ pub mod sphere;
 pub mod riemannian;
 
 pub use accum::{BatchMode, GradAccumulator};
-// The thread-count convention moved to `mars-runtime` with the worker pool;
-// re-exported here so existing `mars_optim::resolve_threads` callers keep
-// compiling.
-pub use mars_runtime::resolve_threads;
 pub use riemannian::{CalibratedRiemannianSgd, RiemannianSgd};
 pub use schedule::LrSchedule;
 pub use sgd::Sgd;
@@ -44,17 +40,14 @@ pub use sgd::Sgd;
 /// embedding tables, so the interface is a single `step` on a slice; state
 /// (learning rate, schedules) lives in the optimizer.
 ///
-/// ## Mini-batch gradient accumulation
-///
-/// The batched engine stages gradients in a [`GradAccumulator`] and applies
-/// one step per touched row: [`Optimizer::begin_batch`] clears the staging
-/// area, [`Optimizer::accumulate`] sums a contribution into a keyed row, and
-/// [`Optimizer::apply`] walks the rows in first-touch order, resolving each
-/// key to its parameter slice through a caller callback and stepping with
-/// the summed gradient. Geometry is preserved per row: the Riemannian
-/// variants tangent-project and calibrate the *accumulated* gradient at the
-/// row's current position, so a batch of size 1 reproduces the immediate
-/// per-triplet step exactly.
+/// The batched engines stage gradients in a [`GradAccumulator`] and step
+/// each touched row once with its *summed* gradient — through
+/// [`Optimizer::step_buffered`] row by row, or through the fused multi-row
+/// kernels in `mars_tensor::simd` that implement the same update rules
+/// (asserted equivalent in `tests/fused_step.rs`). Geometry is preserved
+/// per row either way: the Riemannian variants tangent-project and
+/// calibrate the accumulated gradient at the row's current position, so a
+/// batch of size 1 reproduces the immediate per-triplet step.
 pub trait Optimizer {
     /// Updates `param` in place given the gradient of the loss at `param`.
     fn step(&self, param: &mut [f32], grad: &[f32]);
@@ -68,44 +61,5 @@ pub trait Optimizer {
     fn step_buffered(&self, param: &mut [f32], grad: &[f32], tmp: &mut [f32]) {
         let _ = tmp;
         self.step(param, grad);
-    }
-
-    /// Starts a fresh mini-batch in `acc`.
-    ///
-    /// Thin delegate to [`GradAccumulator::clear`], provided so the batch
-    /// lifecycle reads in optimizer terms at call sites that hold an
-    /// optimizer. Engines that stage gradients before an optimizer exists
-    /// (accumulation is lr-independent) call the accumulator directly —
-    /// both spellings are equivalent and this method is not an override
-    /// point.
-    fn begin_batch(&self, acc: &mut GradAccumulator) {
-        acc.clear();
-    }
-
-    /// Stages `grad` for the parameter row identified by `key`; repeated
-    /// keys sum. Same contract as [`Optimizer::begin_batch`]: a delegate to
-    /// [`GradAccumulator::add`], not an override point.
-    fn accumulate(&self, acc: &mut GradAccumulator, key: u64, grad: &[f32]) {
-        acc.add(key, grad);
-    }
-
-    /// Applies one step per accumulated row and clears the batch.
-    ///
-    /// `with_param` receives each key (in first-touch order) and must invoke
-    /// the provided closure on that row's parameter slice; the inversion of
-    /// control lets the caller hand out disjoint `&mut` table rows without
-    /// fighting the borrow checker.
-    fn apply(
-        &self,
-        acc: &mut GradAccumulator,
-        mut with_param: impl FnMut(u64, &mut dyn FnMut(&mut [f32])),
-    ) where
-        Self: Sized,
-    {
-        acc.drain(|key, grad, tmp| {
-            with_param(key, &mut |param: &mut [f32]| {
-                self.step_buffered(param, grad, tmp);
-            });
-        });
     }
 }

@@ -37,6 +37,23 @@ pub fn softplus(x: f32) -> f32 {
     }
 }
 
+/// `(softplus(x), sigmoid(x))` from a single `exp` — the facet-separating
+/// term needs the loss value and its slope at the same point.
+///
+/// Bit-identical to calling [`softplus`] and [`sigmoid`] separately: on
+/// either side of zero both evaluate the same `z = e^{−|x|}` (at `±0` both
+/// see `z = 1`, where sigmoid's two branches agree on exactly `0.5`).
+#[inline]
+pub fn softplus_sigmoid(x: f32) -> (f32, f32) {
+    if x > 0.0 {
+        let z = (-x).exp();
+        (x + z.ln_1p(), 1.0 / (1.0 + z))
+    } else {
+        let z = x.exp();
+        (z.ln_1p(), z / (1.0 + z))
+    }
+}
+
 /// Derivative of softplus, which is exactly the sigmoid.
 #[inline]
 pub fn softplus_grad(x: f32) -> f32 {
@@ -147,6 +164,31 @@ mod tests {
         // Large input: asymptotically linear, finite.
         assert!((softplus(1000.0) - 1000.0).abs() < 1e-3);
         assert!(softplus(-1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn softplus_sigmoid_is_bit_equal_to_the_separate_calls() {
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            100.0,
+            -100.0,
+            88.8,
+            -88.8,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-42, // subnormal
+            -1e-42,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        xs.extend((-4000..=4000).map(|i| i as f32 * 0.0257));
+        for x in xs {
+            let (sp, sg) = softplus_sigmoid(x);
+            assert_eq!(sp.to_bits(), softplus(x).to_bits(), "softplus({x})");
+            assert_eq!(sg.to_bits(), sigmoid(x).to_bits(), "sigmoid({x})");
+        }
     }
 
     #[test]

@@ -41,6 +41,13 @@
 //!   never mixes tiers. The two tiers may differ in the last bits (FMA
 //!   contracts the multiply-add), which is why cross-tier tests use a
 //!   relative tolerance while cross-entry-point tests demand bit equality.
+//!
+//! The fused optimizer-step kernels ([`calibrated_rsgd_rows`],
+//! [`sgd_clip_rows`]) follow the same rules — their reductions use the
+//! chunked order above, so `x·g` is bitwise the [`dot`] of the same row —
+//! and state their degenerate cases (zero / non-finite gradient, collapsed
+//! retraction target) as part of the contract rather than leaving them to
+//! whatever the arithmetic does.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -225,6 +232,99 @@ pub fn euclid_grad_row(
     dispatch!(euclid_grad_row(wp2, wq2, u, p, q, du, dp, dq))
 }
 
+/// Norm floor of the fused step kernels' guards: a gradient, or a
+/// retraction target `x + z`, shorter than this is treated as zero.
+const STEP_NORM_FLOOR: f32 = 1e-12;
+
+/// What the two gradient reductions of [`calibrated_rsgd_rows`] decide for
+/// one row.
+enum RowStep {
+    /// `g·g` is NaN or infinite: leave the row alone and count it.
+    NonFinite,
+    /// Numerically zero gradient: the step is a clean no-op.
+    Noop,
+    /// Step along the tangent with this coefficient, `−η·(1 + xᵀg/‖g‖)`.
+    Tangent(f32),
+}
+
+/// The scalar middle of the calibrated step, shared by every tier: guards,
+/// `‖g‖`, and the calibration multiplier clamped to `[0, 2]`.
+#[inline]
+fn calibrated_row_step(gg: f32, xg: f32, lr: f32) -> RowStep {
+    if !gg.is_finite() {
+        return RowStep::NonFinite;
+    }
+    let gnorm = gg.sqrt();
+    if gnorm <= STEP_NORM_FLOOR {
+        return RowStep::Noop;
+    }
+    RowStep::Tangent(-lr * (1.0 + xg / gnorm).clamp(0.0, 2.0))
+}
+
+/// `1/‖x + z‖` from the squared norm, or `None` when the retraction target
+/// is degenerate (shorter than the floor, or not finite) and the row must
+/// stay where it is.
+#[inline]
+fn retraction_factor(nsq: f32) -> Option<f32> {
+    let n = nsq.sqrt();
+    (n > STEP_NORM_FLOOR && n.is_finite()).then(|| 1.0 / n)
+}
+
+/// The factor that brings a stepped row of squared norm `nsq` back into the
+/// ball of radius `max_norm` (`1` inside it), or `None` for a non-finite
+/// row.
+#[inline]
+fn clip_factor(nsq: f32, max_norm: f32) -> Option<f32> {
+    if !nsq.is_finite() {
+        return None;
+    }
+    let n = nsq.sqrt();
+    Some(if n > max_norm { max_norm / n } else { 1.0 })
+}
+
+/// Fused calibrated Riemannian SGD step (the paper's Eq. 21) over every
+/// `dim`-row of `x`, each a point on the unit sphere, with `g` holding the
+/// matching ambient gradients:
+///
+/// ```text
+/// x_r ← R( x_r − η·(1 + x_rᵀg_r/‖g_r‖) · (g_r − (x_rᵀg_r)·x_r) ),   R(m) = m/‖m‖
+/// ```
+///
+/// One pass reduces `g·g` and `x·g` together, a second tangent-projects,
+/// steps and accumulates `‖x + z‖²`, a third rescales — against eight
+/// separately dispatched passes for the composed
+/// `CalibratedRiemannianSgd::step`. **`g` is consumed as scratch** (a
+/// stepped row's `g` holds the unnormalized `x + z` afterwards).
+///
+/// Degenerate rows are left exactly as they were: a zero gradient
+/// (`‖g‖ ≤ 1e-12`) is a no-op, a retraction target with `‖x + z‖ ≤ 1e-12`
+/// is not normalized, and a row whose gradient is not finite is skipped and
+/// counted in the return value.
+#[inline]
+pub fn calibrated_rsgd_rows(x: &mut [f32], g: &mut [f32], dim: usize, lr: f32) -> usize {
+    step_rows_checks(x, g, dim);
+    dispatch!(calibrated_rsgd_rows(x, g, dim, lr))
+}
+
+/// Fused SGD step with the ball constraint over every `dim`-row of `x`:
+/// `x_r ← clip(x_r − η·g_r)`, rescaling to `‖x_r‖ = max_norm` when the step
+/// left the ball (MAR's Eq. 11 constraint). Two passes instead of the
+/// composed `Sgd::step`'s axpy + norm + scale. **`g` is consumed as
+/// scratch.** A row whose stepped value is not finite is left unchanged and
+/// counted in the return value.
+#[inline]
+pub fn sgd_clip_rows(x: &mut [f32], g: &mut [f32], dim: usize, lr: f32, max_norm: f32) -> usize {
+    step_rows_checks(x, g, dim);
+    dispatch!(sgd_clip_rows(x, g, dim, lr, max_norm))
+}
+
+#[inline]
+fn step_rows_checks(x: &[f32], g: &[f32], dim: usize) {
+    assert!(dim > 0, "row kernels need dim ≥ 1");
+    check_same_len(x, g);
+    assert_eq!(x.len() % dim, 0, "step kernel: ragged buffer");
+}
+
 // Like `check_same_len`, the row-kernel shape checks are hard asserts: they
 // stand between safe callers and the raw-pointer tier.
 #[inline]
@@ -301,6 +401,8 @@ pub fn install_rng_kernel() {
 /// for the kernel microbench (`BENCH_kernels.json`) and oracle for the
 /// cross-tier agreement tests — the engine itself no longer calls these.
 pub mod scalar {
+    use super::RowStep;
+
     /// Sequential dot product.
     #[inline]
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -382,6 +484,63 @@ pub mod scalar {
             *o = mix64(base.wrapping_add((i as u64 + 1).wrapping_mul(GOLDEN)));
         }
     }
+
+    /// Sequential calibrated Riemannian step per row (see
+    /// [`super::calibrated_rsgd_rows`]).
+    pub fn calibrated_rsgd_rows(x: &mut [f32], g: &mut [f32], dim: usize, lr: f32) -> usize {
+        let mut skipped = 0;
+        for (x, g) in x.chunks_exact_mut(dim).zip(g.chunks_exact_mut(dim)) {
+            let xg = dot(x, g);
+            let c = match super::calibrated_row_step(dot(g, g), xg, lr) {
+                RowStep::NonFinite => {
+                    skipped += 1;
+                    continue;
+                }
+                RowStep::Noop => continue,
+                RowStep::Tangent(c) => c,
+            };
+            let mut nsq = 0.0f32;
+            for (gi, &xi) in g.iter_mut().zip(x.iter()) {
+                let m = xi + c * (*gi - xg * xi);
+                *gi = m;
+                nsq += m * m;
+            }
+            if let Some(s) = super::retraction_factor(nsq) {
+                for (xi, &mi) in x.iter_mut().zip(g.iter()) {
+                    *xi = mi * s;
+                }
+            }
+        }
+        skipped
+    }
+
+    /// Sequential SGD + ball clip per row (see [`super::sgd_clip_rows`]).
+    pub fn sgd_clip_rows(
+        x: &mut [f32],
+        g: &mut [f32],
+        dim: usize,
+        lr: f32,
+        max_norm: f32,
+    ) -> usize {
+        let mut skipped = 0;
+        for (x, g) in x.chunks_exact_mut(dim).zip(g.chunks_exact_mut(dim)) {
+            let mut nsq = 0.0f32;
+            for (gi, &xi) in g.iter_mut().zip(x.iter()) {
+                let m = xi - lr * *gi;
+                *gi = m;
+                nsq += m * m;
+            }
+            match super::clip_factor(nsq, max_norm) {
+                Some(s) => {
+                    for (xi, &mi) in x.iter_mut().zip(g.iter()) {
+                        *xi = mi * s;
+                    }
+                }
+                None => skipped += 1,
+            }
+        }
+        skipped
+    }
 }
 
 /// Lane-chunked portable tier: plain Rust over an 8×`f32` accumulator
@@ -389,7 +548,7 @@ pub mod scalar {
 /// same horizontal-reduction tree, same sequential tail) so the two tiers
 /// differ only by FMA contraction.
 pub mod portable {
-    use super::LANES;
+    use super::{RowStep, LANES};
 
     /// Folds the 8-lane accumulator in the AVX2 horizontal-reduction order:
     /// halves first (`l + l+4`), then pairwise.
@@ -571,6 +730,93 @@ pub mod portable {
             dq[i] = gq;
         }
     }
+
+    /// One elementwise pass `g[i] ← m(x[i], g[i])` that also returns `Σ m²`
+    /// in the chunked summation order — the shared shape of both step
+    /// kernels' middle pass.
+    #[inline]
+    fn stage_row(x: &[f32], g: &mut [f32], m: impl Fn(f32, f32) -> f32) -> f32 {
+        let mut acc = [0.0f32; LANES];
+        let mut chunks_x = x.chunks_exact(LANES);
+        let mut chunks_g = g.chunks_exact_mut(LANES);
+        for (cx, cg) in (&mut chunks_x).zip(&mut chunks_g) {
+            let cx: &[f32; LANES] = cx.try_into().unwrap();
+            let cg: &mut [f32; LANES] = cg.try_into().unwrap();
+            for l in 0..LANES {
+                cg[l] = m(cx[l], cg[l]);
+                acc[l] += cg[l] * cg[l];
+            }
+        }
+        let mut tail = 0.0f32;
+        for (xi, gi) in chunks_x.remainder().iter().zip(chunks_g.into_remainder()) {
+            *gi = m(*xi, *gi);
+            tail += *gi * *gi;
+        }
+        hsum(&acc) + tail
+    }
+
+    /// Chunked calibrated Riemannian step per row (see
+    /// [`super::calibrated_rsgd_rows`]); `g·g` and `x·g` share one pass.
+    pub fn calibrated_rsgd_rows(x: &mut [f32], g: &mut [f32], dim: usize, lr: f32) -> usize {
+        let mut skipped = 0;
+        for (x, g) in x.chunks_exact_mut(dim).zip(g.chunks_exact_mut(dim)) {
+            let (mut acc_gg, mut acc_xg) = ([0.0f32; LANES], [0.0f32; LANES]);
+            let mut chunks_x = x.chunks_exact(LANES);
+            let mut chunks_g = g.chunks_exact(LANES);
+            for (cx, cg) in (&mut chunks_x).zip(&mut chunks_g) {
+                let cx: &[f32; LANES] = cx.try_into().unwrap();
+                let cg: &[f32; LANES] = cg.try_into().unwrap();
+                for l in 0..LANES {
+                    acc_gg[l] += cg[l] * cg[l];
+                    acc_xg[l] += cx[l] * cg[l];
+                }
+            }
+            let (mut tail_gg, mut tail_xg) = (0.0f32, 0.0f32);
+            for (xi, gi) in chunks_x.remainder().iter().zip(chunks_g.remainder()) {
+                tail_gg += gi * gi;
+                tail_xg += xi * gi;
+            }
+            let xg = hsum(&acc_xg) + tail_xg;
+            let c = match super::calibrated_row_step(hsum(&acc_gg) + tail_gg, xg, lr) {
+                RowStep::NonFinite => {
+                    skipped += 1;
+                    continue;
+                }
+                RowStep::Noop => continue,
+                RowStep::Tangent(c) => c,
+            };
+            let nsq = stage_row(x, g, |xi, gi| xi + c * (gi - xg * xi));
+            if let Some(s) = super::retraction_factor(nsq) {
+                for (xi, &mi) in x.iter_mut().zip(g.iter()) {
+                    *xi = mi * s;
+                }
+            }
+        }
+        skipped
+    }
+
+    /// Chunked SGD + ball clip per row (see [`super::sgd_clip_rows`]).
+    pub fn sgd_clip_rows(
+        x: &mut [f32],
+        g: &mut [f32],
+        dim: usize,
+        lr: f32,
+        max_norm: f32,
+    ) -> usize {
+        let mut skipped = 0;
+        for (x, g) in x.chunks_exact_mut(dim).zip(g.chunks_exact_mut(dim)) {
+            let nsq = stage_row(x, g, |xi, gi| xi - lr * gi);
+            match super::clip_factor(nsq, max_norm) {
+                Some(s) => {
+                    for (xi, &mi) in x.iter_mut().zip(g.iter()) {
+                        *xi = mi * s;
+                    }
+                }
+                None => skipped += 1,
+            }
+        }
+        skipped
+    }
 }
 
 /// Hand-vectorized x86-64 tier: 256-bit loads, FMA, one 8-lane accumulator
@@ -580,7 +826,7 @@ pub mod portable {
 /// check [`avx2::available`] first) upholds the contract.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::LANES;
+    use super::{RowStep, LANES};
     use core::arch::x86_64::*;
 
     /// Whether this host supports the AVX2 + FMA tier.
@@ -607,6 +853,7 @@ pub mod avx2 {
     /// # Safety
     /// Requires AVX2 + FMA (check [`available`]). Slices must be equal
     /// length.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: the caller upholds the `# Safety` contract above — the
@@ -637,6 +884,7 @@ pub mod avx2 {
     /// # Safety
     /// Requires AVX2 + FMA (check [`available`]). Slices must be equal
     /// length.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dist_sq(a: &[f32], b: &[f32]) -> f32 {
         // SAFETY: the caller upholds the `# Safety` contract above — the
@@ -669,6 +917,7 @@ pub mod avx2 {
     /// # Safety
     /// Requires AVX2 + FMA (check [`available`]). Slices must be equal
     /// length.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
         // SAFETY: the caller upholds the `# Safety` contract above — the
@@ -838,6 +1087,151 @@ pub mod avx2 {
                 i += 1;
             }
         }
+    }
+
+    /// `x ← g · s` elementwise — the last pass of both step kernels (the
+    /// retraction's `1/‖x + z‖`, SGD's clip factor).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn scaled_copy(x: &mut [f32], g: &[f32], s: f32) {
+        let n = x.len().min(g.len());
+        let body = n / LANES * LANES;
+        let vs = _mm256_set1_ps(s);
+        let (px, pg) = (x.as_mut_ptr(), g.as_ptr());
+        // SAFETY: every access is at an index below `n`, the shorter of
+        // the two slices; the body loop reads and writes whole 8-lane
+        // blocks ending at `body ≤ n`.
+        unsafe {
+            let mut i = 0;
+            while i < body {
+                _mm256_storeu_ps(px.add(i), _mm256_mul_ps(_mm256_loadu_ps(pg.add(i)), vs));
+                i += LANES;
+            }
+            while i < n {
+                *px.add(i) = *pg.add(i) * s;
+                i += 1;
+            }
+        }
+    }
+
+    /// Fused calibrated Riemannian step per row (see
+    /// [`super::calibrated_rsgd_rows`]): `g·g` and `x·g` in one pass, the
+    /// tangent step with FMA, one scaling pass for the retraction.
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA (check [`available`]); `x` and `g` must be equal
+    /// length, a whole number of `dim`-rows.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn calibrated_rsgd_rows(x: &mut [f32], g: &mut [f32], dim: usize, lr: f32) -> usize {
+        let body = dim / LANES * LANES;
+        let mut skipped = 0;
+        for (x, g) in x.chunks_exact_mut(dim).zip(g.chunks_exact_mut(dim)) {
+            let (px, pg) = (x.as_mut_ptr(), g.as_mut_ptr());
+            // SAFETY: `chunks_exact_mut` hands out rows of exactly `dim`
+            // elements, every access below is at an index `< dim`, and the
+            // caller upholds the target-feature contract.
+            unsafe {
+                let mut acc_gg = _mm256_setzero_ps();
+                let mut acc_xg = _mm256_setzero_ps();
+                let mut i = 0;
+                while i < body {
+                    let vg = _mm256_loadu_ps(pg.add(i));
+                    acc_gg = _mm256_fmadd_ps(vg, vg, acc_gg);
+                    acc_xg = _mm256_fmadd_ps(_mm256_loadu_ps(px.add(i)), vg, acc_xg);
+                    i += LANES;
+                }
+                let (mut tail_gg, mut tail_xg) = (0.0f32, 0.0f32);
+                while i < dim {
+                    tail_gg += *pg.add(i) * *pg.add(i);
+                    tail_xg += *px.add(i) * *pg.add(i);
+                    i += 1;
+                }
+                let xg = hsum256(acc_xg) + tail_xg;
+                let c = match super::calibrated_row_step(hsum256(acc_gg) + tail_gg, xg, lr) {
+                    RowStep::NonFinite => {
+                        skipped += 1;
+                        continue;
+                    }
+                    RowStep::Noop => continue,
+                    RowStep::Tangent(c) => c,
+                };
+                // m = x + c·(g − xg·x), staged in g; ‖m‖² on the way.
+                let (vxg, vc) = (_mm256_set1_ps(xg), _mm256_set1_ps(c));
+                let mut acc = _mm256_setzero_ps();
+                let mut i = 0;
+                while i < body {
+                    let vx = _mm256_loadu_ps(px.add(i));
+                    let tangent = _mm256_fnmadd_ps(vxg, vx, _mm256_loadu_ps(pg.add(i)));
+                    let m = _mm256_fmadd_ps(vc, tangent, vx);
+                    _mm256_storeu_ps(pg.add(i), m);
+                    acc = _mm256_fmadd_ps(m, m, acc);
+                    i += LANES;
+                }
+                let mut tail = 0.0f32;
+                while i < dim {
+                    let xi = *px.add(i);
+                    let m = xi + c * (*pg.add(i) - xg * xi);
+                    *pg.add(i) = m;
+                    tail += m * m;
+                    i += 1;
+                }
+                if let Some(s) = super::retraction_factor(hsum256(acc) + tail) {
+                    scaled_copy(x, g, s);
+                }
+            }
+        }
+        skipped
+    }
+
+    /// Fused SGD + ball clip per row (see [`super::sgd_clip_rows`]).
+    ///
+    /// # Safety
+    /// Requires AVX2 + FMA (check [`available`]); `x` and `g` must be equal
+    /// length, a whole number of `dim`-rows.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn sgd_clip_rows(
+        x: &mut [f32],
+        g: &mut [f32],
+        dim: usize,
+        lr: f32,
+        max_norm: f32,
+    ) -> usize {
+        let body = dim / LANES * LANES;
+        let vlr = _mm256_set1_ps(lr);
+        let mut skipped = 0;
+        for (x, g) in x.chunks_exact_mut(dim).zip(g.chunks_exact_mut(dim)) {
+            let (px, pg) = (x.as_mut_ptr(), g.as_mut_ptr());
+            // SAFETY: `chunks_exact_mut` hands out rows of exactly `dim`
+            // elements, every access below is at an index `< dim`, and the
+            // caller upholds the target-feature contract.
+            let nsq = unsafe {
+                let mut acc = _mm256_setzero_ps();
+                let mut i = 0;
+                while i < body {
+                    let m = _mm256_fnmadd_ps(
+                        vlr,
+                        _mm256_loadu_ps(pg.add(i)),
+                        _mm256_loadu_ps(px.add(i)),
+                    );
+                    _mm256_storeu_ps(pg.add(i), m);
+                    acc = _mm256_fmadd_ps(m, m, acc);
+                    i += LANES;
+                }
+                let mut tail = 0.0f32;
+                while i < dim {
+                    let m = *px.add(i) - lr * *pg.add(i);
+                    *pg.add(i) = m;
+                    tail += m * m;
+                    i += 1;
+                }
+                hsum256(acc) + tail
+            };
+            match super::clip_factor(nsq, max_norm) {
+                Some(s) => scaled_copy(x, g, s),
+                None => skipped += 1,
+            }
+        }
+        skipped
     }
 
     /// Bytes consumed per int8 loop iteration: one 128-bit load widened to

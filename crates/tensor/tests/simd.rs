@@ -359,6 +359,154 @@ fn int8_kernels_survive_extreme_values() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Fused optimizer-step kernels
+// ---------------------------------------------------------------------------
+
+/// `k` unit-norm rows of `dim` (the sphere the calibrated step walks on).
+fn unit_rows(k: usize, dim: usize, salt: u64) -> Vec<f32> {
+    let mut x = vec_for(k * dim, salt);
+    for row in x.chunks_exact_mut(dim) {
+        let n = row.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-6);
+        row.iter_mut().for_each(|v| *v /= n);
+    }
+    x
+}
+
+type StepKernel = fn(&mut [f32], &mut [f32], usize) -> usize;
+
+/// Runs one step kernel on fresh copies and returns the stepped rows.
+fn stepped(kernel: StepKernel, x: &[f32], g: &[f32], dim: usize) -> (Vec<f32>, usize) {
+    let (mut x, mut g) = (x.to_vec(), g.to_vec());
+    let skipped = kernel(&mut x, &mut g, dim);
+    (x, skipped)
+}
+
+/// The calibrated step and SGD-clip at one learning rate, per tier:
+/// `(name, scalar, portable, dispatched)`.
+fn step_kernels() -> [(&'static str, StepKernel, StepKernel, StepKernel); 2] {
+    [
+        (
+            "calibrated_rsgd_rows",
+            |x, g, d| scalar::calibrated_rsgd_rows(x, g, d, 0.05),
+            |x, g, d| portable::calibrated_rsgd_rows(x, g, d, 0.05),
+            |x, g, d| simd::calibrated_rsgd_rows(x, g, d, 0.05),
+        ),
+        (
+            "sgd_clip_rows",
+            |x, g, d| scalar::sgd_clip_rows(x, g, d, 0.4, 1.0),
+            |x, g, d| portable::sgd_clip_rows(x, g, d, 0.4, 1.0),
+            |x, g, d| simd::sgd_clip_rows(x, g, d, 0.4, 1.0),
+        ),
+    ]
+}
+
+#[test]
+fn step_kernel_tiers_agree_across_dims_and_row_counts() {
+    for (name, scalar_k, portable_k, dispatched_k) in step_kernels() {
+        for_all_dims(|dim| {
+            for k in 1..=5 {
+                let x = unit_rows(k, dim, 21);
+                let g = vec_for(k * dim, 22);
+                let (s, _) = stepped(scalar_k, &x, &g, dim);
+                let (p, _) = stepped(portable_k, &x, &g, dim);
+                let (d, skipped) = stepped(dispatched_k, &x, &g, dim);
+                assert_eq!(skipped, 0, "{name}: finite input skipped a row");
+                for i in 0..k * dim {
+                    assert!(
+                        (s[i] - p[i]).abs() <= 1e-6 && (d[i] - p[i]).abs() <= 1e-6,
+                        "{name} diverged at dim {dim} k {k} idx {i}: {} {} {}",
+                        s[i],
+                        p[i],
+                        d[i]
+                    );
+                }
+                // The constraint each kernel exists to keep.
+                for row in d.chunks_exact(dim) {
+                    let n = row.iter().map(|v| v * v).sum::<f32>().sqrt();
+                    if name == "sgd_clip_rows" {
+                        assert!(n <= 1.0 + 1e-5, "left the ball: {n}");
+                    } else {
+                        assert!((n - 1.0).abs() <= 1e-5, "left the sphere: {n}");
+                    }
+                }
+            }
+        });
+    }
+}
+
+/// The dispatched step kernels are the active tier's, bit for bit (and the
+/// AVX2 tier, when present, agrees with the portable one within rounding).
+#[test]
+fn step_kernel_dispatch_routes_to_the_active_tier() {
+    let (dim, k) = (37, 3);
+    let x = unit_rows(k, dim, 31);
+    let g = vec_for(k * dim, 32);
+    for (name, _, portable_k, dispatched_k) in step_kernels() {
+        let (dispatched, _) = stepped(dispatched_k, &x, &g, dim);
+        let (from_portable, _) = stepped(portable_k, &x, &g, dim);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        match simd::active_path() {
+            Path::Portable => assert_eq!(bits(&dispatched), bits(&from_portable), "{name}"),
+            Path::Avx2Fma => {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    use mars_tensor::simd::avx2;
+                    assert!(avx2::available(), "AVX2 tier active but not detected");
+                    let (mut xa, mut ga) = (x.clone(), g.clone());
+                    // SAFETY: AVX2+FMA availability is checked above, and
+                    // the buffers are equal-length whole rows of `dim`.
+                    unsafe {
+                        if name == "sgd_clip_rows" {
+                            avx2::sgd_clip_rows(&mut xa, &mut ga, dim, 0.4, 1.0);
+                        } else {
+                            avx2::calibrated_rsgd_rows(&mut xa, &mut ga, dim, 0.05);
+                        }
+                    }
+                    assert_eq!(bits(&dispatched), bits(&xa), "{name}: not the AVX2 tier");
+                    for (a, p) in xa.iter().zip(&from_portable) {
+                        assert!((a - p).abs() <= 1e-6, "{name}: AVX2 far from portable");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The degenerate rows every tier must leave exactly where they were.
+#[test]
+fn step_kernels_leave_degenerate_rows_untouched() {
+    let dim = 11;
+    let x = unit_rows(4, dim, 41);
+    for (name, scalar_k, portable_k, dispatched_k) in step_kernels() {
+        for kernel in [scalar_k, portable_k, dispatched_k] {
+            // Row 0: zero gradient. Row 1: NaN. Row 2: +inf. Row 3: regular.
+            let mut g = vec_for(4 * dim, 42);
+            g[..dim].fill(0.0);
+            g[dim + 3] = f32::NAN;
+            g[2 * dim + 5] = f32::INFINITY;
+            let (after, skipped) = stepped(kernel, &x, &g, dim);
+            assert_eq!(skipped, 2, "{name}: non-finite rows must be counted");
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&after[..3 * dim]), bits(&x[..3 * dim]), "{name}");
+            assert_ne!(bits(&after[3 * dim..]), bits(&x[3 * dim..]), "{name}");
+        }
+    }
+    // ‖x + z‖ ≤ 1e-12: a zero row stepped by a vanishing learning rate
+    // leaves the retraction nothing to normalize — the row must stay as it
+    // is, not become 0/0.
+    for kernel in [
+        scalar::calibrated_rsgd_rows,
+        portable::calibrated_rsgd_rows,
+        simd::calibrated_rsgd_rows,
+    ] {
+        let mut x = vec![0.0f32; dim];
+        let mut g = vec_for(dim, 43);
+        assert_eq!(kernel(&mut x, &mut g, dim, 1e-14), 0);
+        assert!(x.iter().all(|&v| v == 0.0), "collapsed row was rewritten");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -17,8 +17,8 @@
 //! * [`metrics`] — HR@K / nDCG@K, the 100-negative ranking protocol, and
 //!   the beyond-accuracy metrics (coverage / Gini / diversity).
 //! * [`optim`] — SGD and (calibrated) Riemannian SGD on the unit sphere,
-//!   plus the mini-batch gradient-accumulation API
-//!   (`begin_batch` / `accumulate` / `apply`) behind the batched engine.
+//!   plus the direct-indexed mini-batch gradient accumulator
+//!   ([`optim::GradAccumulator`]) behind the batched engines.
 //! * [`core`] — the MAR / MARS models, losses, and the batched
 //!   data-parallel trainer (per-triplet reference path kept selectable via
 //!   `BatchMode::PerTriplet`).
