@@ -4,8 +4,7 @@
 //! criterion: for triplets `(u, i, j)` with `i` observed and `j` not,
 //! maximize `ln σ(x̂_ui − x̂_uj)` with `x̂_uv = p_u · q_v`, plus L2
 //! regularization. Runs on the shared batch/accumulate triplet engine
-//! (`common::fit_triplets`); the reference per-sample SGD stays selectable
-//! via [`mars_optim::BatchMode::PerTriplet`].
+//! (`common::fit_triplets`).
 //!
 //! No bias terms: the MARS paper specifies "matrix factorization as the
 //! prediction component" (`x̂ = p·q`), matching the DeepRec implementation

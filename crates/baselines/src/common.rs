@@ -7,7 +7,7 @@ use mars_data::batch::{FillMode, Triplet, TripletBatcher, TripletStream};
 use mars_data::dataset::Dataset;
 use mars_data::sampler::{UniformNegativeSampler, UserSampler};
 use mars_metrics::Scorer;
-use mars_optim::{BatchMode, GradAccumulator};
+use mars_optim::GradAccumulator;
 use mars_runtime::rng::seeds;
 use mars_runtime::{shard_items, WorkerPool};
 
@@ -23,8 +23,8 @@ pub struct BaselineConfig {
     /// Training epochs (one epoch ≈ one pass over the interactions).
     pub epochs: usize,
     /// Triplets / samples per batch. For models on the shared triplet
-    /// engine this is the gradient-accumulation window in
-    /// [`BatchMode::Batched`]; for the rest it controls epoch granularity.
+    /// engine this is the gradient-accumulation window; for the rest it
+    /// controls epoch granularity.
     pub batch_size: usize,
     /// Hinge margin where applicable.
     pub margin: f32,
@@ -32,10 +32,7 @@ pub struct BaselineConfig {
     pub reg: f32,
     /// Negatives per positive for the pointwise models (NeuMF, MetricF).
     pub negatives_per_positive: usize,
-    /// Update scheduling for engine-based models (BPR, CML): batched
-    /// accumulation (default) or the reference per-sample SGD.
-    pub batch_mode: BatchMode,
-    /// Worker threads for the batched engine (shard-by-user); `0` = all
+    /// Worker threads for the shared engines (shard-by-user); `0` = all
     /// cores, `1` = serial.
     pub threads: usize,
     /// Draw batch `b + 1` on a background thread while batch `b` trains
@@ -56,7 +53,6 @@ impl Default for BaselineConfig {
             margin: 0.5,
             reg: 1e-4,
             negatives_per_positive: 4,
-            batch_mode: BatchMode::Batched,
             threads: 1,
             prefetch: true,
             seed: 42,
@@ -130,10 +126,9 @@ pub trait TripletUpdate: Scorer + Sync {
     /// embedding rows, such as SML's learnable per-user / per-item margins
     /// or LRML's relation memory and attention keys — for one triplet. The
     /// engine calls it once per triplet, in **original batch order**,
-    /// against the same embedding rows `triplet_update` saw: before the row
-    /// applies of the triplet (per-triplet mode) or of the batch (batched
-    /// mode). Side updates may cascade within a batch (they touch no
-    /// embedding row, so the frozen-parameter contract of the row
+    /// against the same embedding rows `triplet_update` saw, before the row
+    /// applies of the batch. Side updates may cascade within a batch (they
+    /// touch no embedding row, so the frozen-parameter contract of the row
     /// accumulation is unaffected). Models without side parameters keep the
     /// default no-op.
     fn side_update(&mut self, _t: Triplet) {}
@@ -182,17 +177,14 @@ fn make_batcher(
 /// Trains `model` on the dataset's train split with the shared engine:
 /// counter-keyed uniform user/negative sampling into [`TripletBatcher`]
 /// batches (prefetched on a background thread per
-/// [`BaselineConfig::prefetch`], else filled inline across the pool), then
-/// — per [`BaselineConfig::batch_mode`] —
-///
-/// * **PerTriplet**: the reference path, one immediate apply per triplet;
-/// * **Batched**: updates accumulate per row over the batch against frozen
-///   parameters and each touched row is applied once (first-touch order).
-///   With `threads > 1` each batch is sharded by user across a persistent
-///   [`mars_runtime::WorkerPool`] (created once for the whole fit, no
-///   per-batch spawn/join) and shard accumulators merge in shard order, so
-///   training stays deterministic for a fixed seed — at **any** thread
-///   count for the sampling, and per thread count for the float merges.
+/// [`BaselineConfig::prefetch`], else filled inline across the pool);
+/// updates accumulate per row over the batch against frozen parameters and
+/// each touched row is applied once (first-touch order). With `threads > 1`
+/// each batch is sharded by user across a persistent
+/// [`mars_runtime::WorkerPool`] (created once for the whole fit, no
+/// per-batch spawn/join) and shard accumulators merge in shard order, so
+/// training stays deterministic for a fixed seed — at **any** thread count
+/// for the sampling, and per thread count for the float merges.
 pub fn fit_triplets<M: TripletUpdate>(model: &mut M, data: &Dataset, cfg: &BaselineConfig) {
     let x = &data.train;
     if x.num_interactions() == 0 {
@@ -202,40 +194,6 @@ pub fn fit_triplets<M: TripletUpdate>(model: &mut M, data: &Dataset, cfg: &Basel
     let batches = batcher.batches_per_epoch(x);
     let lr = cfg.lr;
     let dim = model.dim();
-
-    // The reference path never shards: no pool, no accumulators — just the
-    // three update rows (mirrors the trainer, which also gates its worker
-    // state on the batch mode).
-    if cfg.batch_mode == BatchMode::PerTriplet {
-        let (mut up, mut ui, mut uj) = (vec![0.0; dim], vec![0.0; dim], vec![0.0; dim]);
-        std::thread::scope(|scope| {
-            let mode = if cfg.prefetch {
-                FillMode::Prefetch
-            } else {
-                FillMode::Serial
-            };
-            let mut stream = TripletStream::spawn(scope, x, batcher, mode);
-            for _ in 0..cfg.epochs {
-                model.begin_epoch(data);
-                for _ in 0..batches {
-                    // The stream's buffer is borrowed directly — no
-                    // per-batch copy on the hot path.
-                    for &t in stream.next_batch().triplets() {
-                        let active = model.triplet_update(t, &mut up, &mut ui, &mut uj);
-                        // Side parameters first: the hook sees the same
-                        // parameters the update was computed against.
-                        model.side_update(t);
-                        if active {
-                            model.apply_user(t.user as usize, lr, &up);
-                            model.apply_item(t.positive as usize, lr, &ui);
-                            model.apply_item(t.negative as usize, lr, &uj);
-                        }
-                    }
-                }
-            }
-        });
-        return;
-    }
 
     let pool = WorkerPool::with_threads(cfg.threads);
     let threads = pool.workers();
@@ -509,7 +467,6 @@ pub mod tests_support {
 mod tests {
     use super::*;
     use crate::bpr::Bpr;
-    use crate::cml::Cml;
     use tests_support::tiny_dataset;
 
     #[test]
@@ -527,15 +484,12 @@ mod tests {
 
     #[test]
     fn engine_is_deterministic_per_mode_and_thread_count() {
+        // Both paths of the engine: one shard applied directly (threads 1)
+        // and scatter → shard-order merge → apply (threads 3).
         let data = tiny_dataset();
-        for (mode, threads) in [
-            (BatchMode::PerTriplet, 1usize),
-            (BatchMode::Batched, 1),
-            (BatchMode::Batched, 3),
-        ] {
+        for threads in [1usize, 3] {
             let run = || {
                 let cfg = BaselineConfig {
-                    batch_mode: mode,
                     threads,
                     epochs: 2,
                     ..BaselineConfig::quick(8)
@@ -544,11 +498,7 @@ mod tests {
                 m.fit(&data);
                 scores(&m, data.num_users() as u32, data.num_items() as u32)
             };
-            assert_eq!(
-                run(),
-                run(),
-                "mode {mode:?} threads {threads} not deterministic"
-            );
+            assert_eq!(run(), run(), "threads {threads} not deterministic");
         }
     }
 
@@ -557,14 +507,9 @@ mod tests {
         // Batches are pure functions of (seed, index), so overlapping the
         // fill with gradient work must not move a single float.
         let data = tiny_dataset();
-        for (mode, threads) in [
-            (BatchMode::PerTriplet, 1usize),
-            (BatchMode::Batched, 1),
-            (BatchMode::Batched, 3),
-        ] {
+        for threads in [1usize, 3] {
             let run = |prefetch: bool| {
                 let cfg = BaselineConfig {
-                    batch_mode: mode,
                     threads,
                     prefetch,
                     epochs: 2,
@@ -577,22 +522,7 @@ mod tests {
             assert_eq!(
                 run(true),
                 run(false),
-                "prefetch changed training (mode {mode:?}, threads {threads})"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_and_per_triplet_both_learn_cml() {
-        let data = tiny_dataset();
-        for mode in [BatchMode::PerTriplet, BatchMode::Batched] {
-            let cfg = BaselineConfig {
-                batch_mode: mode,
-                ..BaselineConfig::quick(16)
-            };
-            tests_support::improves_over_untrained(
-                || Cml::new(cfg.clone(), data.num_users(), data.num_items()),
-                &data,
+                "prefetch changed training (threads {threads})"
             );
         }
     }

@@ -307,21 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn per_triplet_engine_mode_also_learns() {
-        // LRML rides the shared engine now; the reference per-sample
-        // scheduling must train too.
-        let data = tiny_dataset();
-        let cfg = BaselineConfig {
-            batch_mode: mars_optim::BatchMode::PerTriplet,
-            ..BaselineConfig::quick(16)
-        };
-        improves_over_untrained(
-            || Lrml::new(cfg.clone(), data.num_users(), data.num_items()),
-            &data,
-        );
-    }
-
-    #[test]
     fn sharded_training_is_deterministic() {
         let data = tiny_dataset();
         let cfg = BaselineConfig {

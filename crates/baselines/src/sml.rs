@@ -197,7 +197,6 @@ impl ImplicitRecommender for Sml {
 mod tests {
     use super::*;
     use crate::common::tests_support::{improves_over_untrained, tiny_dataset};
-    use mars_optim::BatchMode;
 
     #[test]
     fn training_improves_ranking() {
@@ -210,21 +209,6 @@ mod tests {
             )
         };
         improves_over_untrained(make, &data);
-    }
-
-    #[test]
-    fn per_triplet_engine_mode_also_learns() {
-        // SML rides the shared engine now; the reference per-sample
-        // scheduling must train too.
-        let data = tiny_dataset();
-        let cfg = BaselineConfig {
-            batch_mode: BatchMode::PerTriplet,
-            ..BaselineConfig::quick(16)
-        };
-        improves_over_untrained(
-            || Sml::new(cfg.clone(), data.num_users(), data.num_items()),
-            &data,
-        );
     }
 
     #[test]

@@ -250,18 +250,13 @@ mod tests {
 
     #[test]
     fn both_engine_modes_learn_and_are_deterministic() {
-        // TransCF rides the shared triplet engine: the reference per-triplet
-        // path and the batched path must both train a working model, and
-        // each must reproduce exactly for a fixed seed and thread count.
-        use mars_optim::BatchMode;
+        // TransCF rides the shared triplet engine: its single-shard path
+        // (threads 1) and its scatter → merge path (threads 3) must both
+        // train a working model, and each must reproduce exactly for a
+        // fixed seed and thread count.
         let data = tiny_dataset();
-        for (mode, threads) in [
-            (BatchMode::PerTriplet, 1usize),
-            (BatchMode::Batched, 1),
-            (BatchMode::Batched, 3),
-        ] {
+        for threads in [1usize, 3] {
             let cfg = BaselineConfig {
-                batch_mode: mode,
                 threads,
                 ..BaselineConfig::quick(16)
             };
@@ -276,11 +271,7 @@ mod tests {
                     .map(|u| m.score(u, 0))
                     .collect::<Vec<f32>>()
             };
-            assert_eq!(
-                run(),
-                run(),
-                "mode {mode:?} threads {threads} not deterministic"
-            );
+            assert_eq!(run(), run(), "threads {threads} not deterministic");
         }
     }
 }

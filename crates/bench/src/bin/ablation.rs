@@ -15,10 +15,10 @@
 //! * calibrated RSGD (Eq. 21) → plain RSGD (Eq. 20) → projected SGD
 //! * uniform negatives → popularity-smoothed negatives
 //!
-//! This is the controlled-components experiment DESIGN.md commits to beyond
-//! the paper's tables.
+//! This is the controlled-components experiment the reproduction adds
+//! beyond the paper's tables.
 
-use mars_bench::{datasets, default_epochs, fmt_improvement, fmt_metric, print_table, Args};
+use mars_bench::{datasets, fmt_improvement, fmt_metric, print_table, Args, DEFAULT_EPOCHS};
 use mars_core::{MarsConfig, NegativeSampling, OptimKind, Trainer, UserSampling};
 use mars_data::margin::MarginMode;
 use mars_data::profiles::Profile;
@@ -30,7 +30,7 @@ fn main() {
     let profiles = args.profiles(&[Profile::Ciao]);
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let ev = RankingEvaluator::paper();
 

@@ -14,7 +14,7 @@
 //! — so the prediction is that MARS's edge over MAR concentrates in the
 //! low-degree buckets.
 
-use mars_bench::{datasets, default_epochs, fmt_metric, print_table, Args, ModelSpec};
+use mars_bench::{datasets, fmt_metric, print_table, Args, ModelSpec, DEFAULT_EPOCHS};
 use mars_core::{MarsConfig, Trainer};
 use mars_data::profiles::Profile;
 use mars_metrics::RankingEvaluator;
@@ -24,12 +24,9 @@ fn main() {
     let scale = args.scale();
     let profiles = args.profiles(&[Profile::Ciao]);
     let dim = args.get_or("dim", 32usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
-    let edges: Vec<usize> = args
-        .get("edges")
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![10, 20, 40]);
+    let edges = args.list_or("edges", &[10usize, 20, 40]);
     let ev = RankingEvaluator::paper();
 
     for (profile, data) in profiles.iter().zip(datasets(&profiles, scale)) {

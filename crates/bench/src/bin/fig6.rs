@@ -10,7 +10,7 @@
 //! datasets, with degradation past it.
 
 use mars_baselines::BaselineKind;
-use mars_bench::{datasets, default_epochs, fmt_metric, print_table, run_model, Args, ModelSpec};
+use mars_bench::{datasets, fmt_metric, print_table, run_model, Args, ModelSpec, DEFAULT_EPOCHS};
 use mars_core::{MarsConfig, Trainer};
 use mars_data::profiles::Profile;
 use mars_metrics::RankingEvaluator;
@@ -23,7 +23,7 @@ fn main() {
     let profiles = args.profiles(&Profile::ABLATION);
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let ev = RankingEvaluator::paper();
 

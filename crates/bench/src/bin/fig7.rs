@@ -12,7 +12,7 @@
 //! inter/intra-category distance ratio per space (higher = better-organized
 //! categories — paper: MARS > MAR > CML).
 
-use mars_bench::{datasets, default_epochs, fmt_metric, print_table, Args};
+use mars_bench::{datasets, fmt_metric, print_table, Args, DEFAULT_EPOCHS};
 use mars_core::analysis::{facet_alignment_matrix, facet_item_matrix, separation_stats};
 use mars_core::{MarsConfig, Trainer};
 use mars_data::profiles::Profile;
@@ -26,7 +26,7 @@ fn main() {
     let scale = args.scale();
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let out_dir = PathBuf::from(args.get("out").unwrap_or("bench_out"));
     fs::create_dir_all(&out_dir).expect("cannot create output directory");

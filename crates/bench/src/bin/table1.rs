@@ -56,7 +56,7 @@ fn main() {
     );
     println!(
         "\nNote: stand-ins are generated by the synthetic multi-facet generator\n\
-         (see DESIGN.md); at --scale small the axes are divided per profile while\n\
+         (mars_data::synthetic); at --scale small the axes are divided per profile while\n\
          preserving the density ordering across datasets."
     );
 }

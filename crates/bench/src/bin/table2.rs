@@ -11,7 +11,7 @@
 
 use mars_baselines::BaselineKind;
 use mars_bench::{
-    datasets, default_epochs, fmt_improvement, fmt_metric, print_table, run_model, Args, ModelSpec,
+    datasets, fmt_improvement, fmt_metric, print_table, run_model, Args, ModelSpec, DEFAULT_EPOCHS,
 };
 use mars_data::profiles::Profile;
 use mars_metrics::Report;
@@ -22,7 +22,7 @@ fn main() {
     let profiles = args.profiles(&Profile::ALL);
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
 
     for (profile, data) in profiles.iter().zip(datasets(&profiles, scale)) {

@@ -12,19 +12,16 @@
 //! MARS keeps improving.
 
 use mars_baselines::BaselineKind;
-use mars_bench::{datasets, default_epochs, fmt_metric, print_table, run_model, Args, ModelSpec};
+use mars_bench::{datasets, fmt_metric, print_table, run_model, Args, ModelSpec, DEFAULT_EPOCHS};
 use mars_data::profiles::Profile;
 
 fn main() {
     let args = Args::from_env();
     let scale = args.scale();
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let k = args.get_or("k", 4usize);
-    let dims: Vec<usize> = args
-        .get("dims")
-        .map(|s| s.split(',').filter_map(|d| d.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![16, 32, 64, 128]);
+    let dims = args.list_or("dims", &[16usize, 32, 64, 128]);
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;
     eprintln!(

@@ -9,7 +9,7 @@
 //! row); MAR and MARS sweep K = 1..=kmax. Imp1 = MAR over CML, Imp2 = MARS
 //! over CML, Imp3 = MARS over MAR — the paper's three improvement columns.
 
-use mars_bench::{datasets, default_epochs, fmt_improvement, fmt_metric, print_table, Args};
+use mars_bench::{datasets, fmt_improvement, fmt_metric, print_table, Args, DEFAULT_EPOCHS};
 use mars_core::{MarsConfig, Trainer};
 use mars_data::profiles::Profile;
 use mars_metrics::RankingEvaluator;
@@ -20,7 +20,7 @@ fn main() {
     let profiles = args.profiles(&Profile::ABLATION);
     let dim = args.get_or("dim", 32usize);
     let kmax = args.get_or("kmax", 6usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let ev = RankingEvaluator::paper();
 

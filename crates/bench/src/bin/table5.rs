@@ -8,7 +8,7 @@
 //! ground-truth categories among the items that space claims (the synthetic
 //! generator's planted categories play the role of Ciao's category labels).
 
-use mars_bench::{datasets, default_epochs, print_table, train_multifacet, Args};
+use mars_bench::{datasets, print_table, train_multifacet, Args, DEFAULT_EPOCHS};
 use mars_core::analysis::category_proportions;
 use mars_core::MarsConfig;
 use mars_data::profiles::Profile;
@@ -19,7 +19,7 @@ fn main() {
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
     let top = args.get_or("top", 5usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;

@@ -8,7 +8,7 @@
 //! their learned facet weights θ_u next to their interacted categories —
 //! the paper's "Bob / Mary" case study.
 
-use mars_bench::{datasets, default_epochs, print_table, train_multifacet, Args};
+use mars_bench::{datasets, print_table, train_multifacet, Args, DEFAULT_EPOCHS};
 use mars_core::analysis::user_profile;
 use mars_core::MarsConfig;
 use mars_data::profiles::Profile;
@@ -20,7 +20,7 @@ fn main() {
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
     let num_users = args.get_or("users", 2usize);
-    let epochs = args.get_or("epochs", default_epochs(scale));
+    let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;

@@ -24,14 +24,8 @@ fn main() {
     let k = args.get_or("k", 4usize);
     let seed = args.get_or("seed", 7u64);
     let model_kind = args.get("model").unwrap_or("mars").to_string();
-    let lrs: Vec<f32> = args
-        .get("lrs")
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![0.05, 0.1, 0.2]);
-    let epoch_grid: Vec<usize> = args
-        .get("epoch-grid")
-        .map(|s| s.split(',').filter_map(|v| v.trim().parse().ok()).collect())
-        .unwrap_or_else(|| vec![15, 30, 60]);
+    let lrs = args.list_or("lrs", &[0.05f32, 0.1, 0.2]);
+    let epoch_grid = args.list_or("epoch-grid", &[15usize, 30, 60]);
 
     let dev_eval = RankingEvaluator::new(EvalConfig {
         num_negatives: 100,

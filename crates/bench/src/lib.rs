@@ -1,10 +1,9 @@
 //! # mars-bench
 //!
-//! Experiment harness regenerating every table and figure of the MARS paper
-//! (see DESIGN.md's per-experiment index). The library holds the shared
-//! plumbing — model zoo, dataset cache, table printing, a tiny `--flag
-//! value` argument parser — and each binary in `src/bin/` is one
-//! table/figure:
+//! The paper-reproduction harness: regenerates every table and figure of
+//! the MARS paper. The library holds the shared plumbing — model zoo,
+//! dataset cache, table printing, a tiny `--flag value` argument parser —
+//! and each binary in `src/bin/` is one table/figure:
 //!
 //! | Binary | Reproduces |
 //! |---|---|
@@ -18,8 +17,11 @@
 //! | `table5` | Table V — top categories per facet space |
 //! | `table6` | Table VI — example user profiles |
 //! | `ablation` | §III-C component ablation (margins, sampling, optimizer, losses) |
+//! | `tune` | §V-A4 dev-split grid search (source of the `tuned_*` specs) |
+//! | `difficulty` | nDCG@10 of CML / MAR / MARS per user-degree bucket (the conclusion's "difficult users" study) |
 //!
-//! Criterion microbenches live in `benches/`.
+//! Nothing here measures speed: the repository's one benchmark is the
+//! `marsbench/` package (`BENCHMARK.json` at the root has the command).
 
 // This crate is part of the deterministic numeric core: no unsafe
 // anywhere (the vetted unsafe surface lives in mars-tensor::simd
@@ -33,7 +35,7 @@ use mars_core::{MarsConfig, Trainer};
 use mars_data::dataset::Dataset;
 use mars_data::profiles::{Profile, Scale};
 use mars_data::SyntheticDataset;
-use mars_metrics::{RankingEvaluator, Report, Scorer};
+use mars_metrics::{RankingEvaluator, Report};
 
 /// Which model to run — baselines by kind, MAR/MARS by config.
 #[derive(Clone, Debug)]
@@ -174,13 +176,6 @@ pub fn train_multifacet(cfg: MarsConfig, data: &Dataset) -> mars_core::MultiFace
     Trainer::new(cfg).fit(data).model
 }
 
-/// Evaluates any scorer with the paper protocol (exposed for benches).
-/// `Sync` because the batched evaluator may fan users out across the
-/// worker pool.
-pub fn evaluate<S: Scorer + Sync>(model: &S, data: &Dataset) -> Report {
-    RankingEvaluator::paper().evaluate(model, data)
-}
-
 // ---------------------------------------------------------------------------
 // Dataset handling
 // ---------------------------------------------------------------------------
@@ -244,6 +239,42 @@ pub fn fmt_improvement(a: f32, b: f32) -> String {
 // Argument parsing (tiny, dependency-free)
 // ---------------------------------------------------------------------------
 
+/// A flag whose value is not of the type the binary expects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ArgError {
+    /// Flag name without the leading `--`.
+    pub flag: String,
+    /// The offending value as given.
+    pub value: String,
+    /// What the binary would have accepted.
+    pub expected: &'static str,
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "invalid value '{}' for --{}: expected {}",
+            self.value, self.flag, self.expected
+        )
+    }
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ArgError> {
+    value.parse().map_err(|_| ArgError {
+        flag: flag.to_string(),
+        value: value.to_string(),
+        expected: std::any::type_name::<T>(),
+    })
+}
+
+fn or_exit<T>(parsed: Result<T, ArgError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
 /// Parses `--key value` pairs from `std::env::args`.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
@@ -283,19 +314,53 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Parsed value with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// Parsed value of a flag: `Ok(None)` when the flag is absent, `Err`
+    /// when its value does not parse as `T`.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get(key).map(|v| parse_value(key, v)).transpose()
     }
 
-    /// Scale flag (`--scale paper|small`, default small).
-    pub fn scale(&self) -> Scale {
+    /// Parsed value with a default. A value that does not parse is reported
+    /// on stderr and ends the process: a table for a configuration nobody
+    /// asked for is worse than no table.
+    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        or_exit(self.try_get(key)).unwrap_or(default)
+    }
+
+    /// Comma-separated values of a flag (`--dims 16,32`): `Ok(None)` when
+    /// the flag is absent, `Err` on the first element that does not parse.
+    pub fn try_list<T: std::str::FromStr>(&self, key: &str) -> Result<Option<Vec<T>>, ArgError> {
+        self.get(key)
+            .map(|spec| {
+                spec.split(',')
+                    .map(|v| parse_value(key, v.trim()))
+                    .collect()
+            })
+            .transpose()
+    }
+
+    /// Comma-separated list with a default; exits like [`Args::get_or`].
+    pub fn list_or<T: std::str::FromStr + Clone>(&self, key: &str, default: &[T]) -> Vec<T> {
+        or_exit(self.try_list(key)).unwrap_or_else(|| default.to_vec())
+    }
+
+    /// Scale flag (`--scale paper|small`, default small); anything else is
+    /// an error.
+    pub fn try_scale(&self) -> Result<Scale, ArgError> {
         match self.get("scale") {
-            Some("paper") => Scale::Paper,
-            _ => Scale::Small,
+            None | Some("small") => Ok(Scale::Small),
+            Some("paper") => Ok(Scale::Paper),
+            Some(other) => Err(ArgError {
+                flag: "scale".to_string(),
+                value: other.to_string(),
+                expected: "paper|small",
+            }),
         }
+    }
+
+    /// Scale flag; exits like [`Args::get_or`] on an unknown scale.
+    pub fn scale(&self) -> Scale {
+        or_exit(self.try_scale())
     }
 
     /// Dataset list (`--datasets ciao,bookx`), default = given fallback.
@@ -316,223 +381,68 @@ impl Args {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BENCH_*.json artifacts
-// ---------------------------------------------------------------------------
-
-/// One `BENCH_*.json` artifact under construction.
-///
-/// Every artifact recorded by the workspace's `harness = false` benches
-/// opens with the same schema header — `bench`, `threads_detected`,
-/// `smoke_mode`, then an optional `note` — so tooling reading the
-/// workspace root can key on any artifact uniformly. The bench-specific
-/// body (parameters, then a result array) is appended through
-/// [`BenchArtifact::body`]; the final body line must not end with a comma.
-/// [`BenchArtifact::finish`] closes the object and writes the file —
-/// except in smoke mode, where a check run proves the harness but must
-/// not overwrite recorded numbers with throwaway ones.
-pub struct BenchArtifact {
-    json: String,
-    file: &'static str,
-    threads: usize,
-    smoke: bool,
-}
-
-impl BenchArtifact {
-    /// Reads a bench's `*_BENCH_SMOKE` env toggle (set to `1` in CI).
-    pub fn smoke_from_env(var: &str) -> bool {
-        std::env::var(var).is_ok_and(|v| v == "1")
-    }
-
-    /// Opens `file` (workspace-root relative, e.g. `"BENCH_serving.json"`)
-    /// with the shared schema header.
-    pub fn open(bench: &str, file: &'static str, smoke: bool) -> Self {
-        use std::fmt::Write as _;
-        let threads = mars_runtime::resolve_threads(0);
-        let mut json = String::from("{\n");
-        let _ = writeln!(json, "  \"bench\": \"{bench}\",");
-        let _ = writeln!(json, "  \"threads_detected\": {threads},");
-        let _ = writeln!(json, "  \"smoke_mode\": {smoke},");
-        Self {
-            json,
-            file,
-            threads,
-            smoke,
-        }
-    }
-
-    /// Worker threads the header recorded (`mars_runtime::resolve_threads`).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether the artifact is in smoke (check) mode.
-    pub fn smoke(&self) -> bool {
-        self.smoke
-    }
-
-    /// Appends the shared `note` header field. Call before body fields.
-    pub fn note(&mut self, note: &str) {
-        use std::fmt::Write as _;
-        let _ = writeln!(self.json, "  \"note\": \"{note}\",");
-    }
-
-    /// The JSON buffer; benches `writeln!` body fields and rows into it.
-    pub fn body(&mut self) -> &mut String {
-        &mut self.json
-    }
-
-    /// Closes the object and writes the artifact to the workspace root
-    /// (skipped in smoke mode). Prints the outcome either way.
-    pub fn finish(mut self) {
-        self.json.push_str("}\n");
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let path = std::path::Path::new(path).join(self.file);
-        if self.smoke {
-            println!("\nsmoke mode: skipped writing {}", path.display());
-        } else {
-            std::fs::write(&path, &self.json)
-                .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-            println!("\nwrote {}", path.display());
-        }
-    }
-}
-
-/// Latency percentiles over one variant's recorded samples, in the shared
-/// artifact schema: every bench that records per-request latencies emits
-/// the same `p50_ns`/`p99_ns`/`p999_ns`/`max_ns` fields through
-/// [`LatencyPercentiles::json_fields`] instead of hand-rolling histograms.
-///
-/// Percentiles use the nearest-rank definition (`⌈q·n⌉`-th smallest): no
-/// interpolation, so a reported value is always a latency that actually
-/// occurred.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencyPercentiles {
-    /// Median latency in nanoseconds.
-    pub p50_ns: f64,
-    /// 99th percentile.
-    pub p99_ns: f64,
-    /// 99.9th percentile.
-    pub p999_ns: f64,
-    /// Worst observed sample.
-    pub max_ns: f64,
-    /// Number of samples summarized.
-    pub samples: usize,
-}
-
-impl LatencyPercentiles {
-    /// Summarizes `samples_ns` (sorted in place; `f64::total_cmp`, so NaN
-    /// poisoning sorts last instead of breaking the order).
-    ///
-    /// # Panics
-    /// If `samples_ns` is empty.
-    pub fn from_ns(samples_ns: &mut [f64]) -> Self {
-        assert!(
-            !samples_ns.is_empty(),
-            "LatencyPercentiles over zero samples"
-        );
-        samples_ns.sort_by(f64::total_cmp);
-        let n = samples_ns.len();
-        let pick = |q: f64| samples_ns[((q * n as f64).ceil() as usize).max(1).min(n) - 1];
-        Self {
-            p50_ns: pick(0.50),
-            p99_ns: pick(0.99),
-            p999_ns: pick(0.999),
-            max_ns: samples_ns[n - 1],
-            samples: n,
-        }
-    }
-
-    /// The shared JSON fields (no surrounding braces), for embedding in a
-    /// bench's per-variant result row.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"p50_ns\": {:.0}, \"p99_ns\": {:.0}, \"p999_ns\": {:.0}, \"max_ns\": {:.0}",
-            self.p50_ns, self.p99_ns, self.p999_ns, self.max_ns
-        )
-    }
-}
-
-/// Harness-default training budget per scale: generous enough for the
-/// ordering between models to stabilize, small enough for the whole Table II
-/// run to finish in minutes.
-pub fn default_epochs(scale: Scale) -> usize {
-    match scale {
-        Scale::Paper => 30,
-        Scale::Small => 30,
-    }
-}
+/// Harness-default training budget: generous enough for the ordering
+/// between models to stabilize, small enough for the whole Table II run to
+/// finish in minutes.
+pub const DEFAULT_EPOCHS: usize = 30;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn args(list: &[&str]) -> Args {
+        Args::from_iter(list.iter().map(|s| s.to_string()))
+    }
+
     #[test]
     fn args_parse_pairs_and_flags() {
-        let a = Args::from_iter(
-            ["--scale", "paper", "--k", "4", "--verbose"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+        let a = args(&["--scale", "paper", "--k", "4", "--verbose"]);
         assert_eq!(a.get("scale"), Some("paper"));
         assert_eq!(a.get_or("k", 0usize), 4);
         assert_eq!(a.get("verbose"), Some("true"));
         assert_eq!(a.get("missing"), None);
+        assert_eq!(a.try_get::<usize>("missing"), Ok(None));
         assert_eq!(a.scale(), Scale::Paper);
+
+        // A value of the wrong type names the flag, the value and the type.
+        let bad = args(&["--epochs", "3O", "--k", "4x", "--lr", "fast"]);
+        let err = bad.try_get::<usize>("epochs").unwrap_err();
+        assert_eq!((err.flag.as_str(), err.value.as_str()), ("epochs", "3O"));
+        assert_eq!(
+            err.to_string(),
+            "invalid value '3O' for --epochs: expected usize"
+        );
+        assert!(bad.try_get::<usize>("k").is_err());
+        assert_eq!(bad.try_get::<f32>("lr").unwrap_err().expected, "f32");
+        // A bare flag reads as "true", which is not a number either.
+        assert!(a.try_get::<u64>("verbose").is_err());
     }
 
     #[test]
     fn args_default_scale_is_small() {
-        let a = Args::from_iter(std::iter::empty());
-        assert_eq!(a.scale(), Scale::Small);
+        assert_eq!(args(&[]).scale(), Scale::Small);
+        assert_eq!(args(&["--scale", "small"]).try_scale(), Ok(Scale::Small));
+        let err = args(&["--scale", "papr"]).try_scale().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid value 'papr' for --scale: expected paper|small"
+        );
     }
 
     #[test]
     fn args_profiles_parses_lists() {
-        let a = Args::from_iter(["--datasets", "ciao,bookx"].iter().map(|s| s.to_string()));
+        let a = args(&["--datasets", "ciao,bookx", "--dims", "16, 32"]);
         let p = a.profiles(&Profile::ALL);
         assert_eq!(p, vec![Profile::Ciao, Profile::BookX]);
-        let b = Args::from_iter(std::iter::empty());
-        assert_eq!(b.profiles(&[Profile::Ciao]), vec![Profile::Ciao]);
-    }
+        assert_eq!(args(&[]).profiles(&[Profile::Ciao]), vec![Profile::Ciao]);
+        // Unknown datasets warn and are skipped (documented probe behaviour).
+        let skip = args(&["--datasets", "ciao,nope"]);
+        assert_eq!(skip.profiles(&Profile::ALL), vec![Profile::Ciao]);
 
-    #[test]
-    fn bench_artifact_header_schema_and_smoke_skip() {
-        let mut art = BenchArtifact::open("unit_test", "BENCH_unit_test.json", true);
-        assert!(art.smoke());
-        assert!(art.threads() >= 1);
-        art.note("a note");
-        art.body().push_str("  \"x\": 1\n");
-        let json = art.body().clone();
-        assert!(json.starts_with("{\n  \"bench\": \"unit_test\",\n  \"threads_detected\": "));
-        assert!(json.contains("\"smoke_mode\": true,\n  \"note\": \"a note\",\n"));
-        // Smoke mode proves the harness without touching the artifact.
-        art.finish();
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_unit_test.json");
-        assert!(!std::path::Path::new(path).exists());
-    }
-
-    #[test]
-    fn latency_percentiles_nearest_rank() {
-        // 1..=1000 ns: nearest-rank percentiles are exact ranks.
-        let mut samples: Vec<f64> = (1..=1000).rev().map(|v| v as f64).collect();
-        let p = LatencyPercentiles::from_ns(&mut samples);
-        assert_eq!(p.p50_ns, 500.0);
-        assert_eq!(p.p99_ns, 990.0);
-        assert_eq!(p.p999_ns, 999.0);
-        assert_eq!(p.max_ns, 1000.0);
-        assert_eq!(p.samples, 1000);
-        // Tiny sample counts clamp to real samples (never out of range).
-        let mut tiny = vec![7.0, 3.0];
-        let t = LatencyPercentiles::from_ns(&mut tiny);
-        assert_eq!(t.p50_ns, 3.0);
-        assert_eq!(t.p99_ns, 7.0);
-        assert_eq!(t.p999_ns, 7.0);
-        assert_eq!(t.max_ns, 7.0);
-        let json = t.json_fields();
-        assert!(json.contains("\"p50_ns\": 3"));
-        assert!(json.contains("\"max_ns\": 7"));
-        assert!(!json.contains('{'));
+        assert_eq!(a.list_or("dims", &[64usize]), vec![16, 32]);
+        assert_eq!(a.list_or("edges", &[10usize, 20]), vec![10, 20]);
+        let err = args(&["--dims", "16,3z"]).try_list::<usize>("dims");
+        assert_eq!(err.unwrap_err().value, "3z");
     }
 
     #[test]

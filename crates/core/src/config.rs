@@ -14,7 +14,6 @@
 //! field flip on this struct.
 
 use mars_data::margin::MarginMode;
-pub use mars_optim::BatchMode;
 
 /// Similarity geometry of the facet spaces.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,14 +97,10 @@ pub struct MarsConfig {
     pub theta_lr: f32,
     /// Training epochs (one epoch ≈ one pass over the interactions).
     pub epochs: usize,
-    /// Triplets per mini-batch (paper: 1000). In [`BatchMode::Batched`] this
-    /// is the gradient-accumulation window; in [`BatchMode::PerTriplet`] it
-    /// is ignored (updates are immediate).
+    /// Triplets per mini-batch (paper: 1000): the gradient-accumulation
+    /// window — every touched entity takes one step per batch.
     pub batch_size: usize,
-    /// Update scheduling: the batched engine (default) or the seed's
-    /// per-triplet reference path.
-    pub batch_mode: BatchMode,
-    /// Worker threads for the batched engine: each mini-batch is sharded by
+    /// Worker threads: each mini-batch is sharded by
     /// user across this many threads and the shard gradients are merged in
     /// shard order. `0` = use all available cores. Runs are deterministic
     /// for a fixed seed **and** thread count.
@@ -136,7 +131,7 @@ impl MarsConfig {
     ///
     /// Direct parameterization is the default for MAR as well as MARS: the
     /// paper's constraint set Ω (Eq. 19) is the facet embeddings, and our
-    /// controlled comparison (see `tune` in `mars-bench` and DESIGN.md)
+    /// controlled comparison (see `tune` in `mars-bench`)
     /// shows the shared-projection factored variant trains markedly worse —
     /// every triplet's rank-1 projection update perturbs *all* entities'
     /// facet embeddings at once. The factored form of Eq. 1–2 is used at
@@ -161,7 +156,6 @@ impl MarsConfig {
             theta_lr: 0.05,
             epochs: 30,
             batch_size: 1000,
-            batch_mode: BatchMode::Batched,
             threads: 1,
             negatives_per_positive: 4,
             prefetch: true,
@@ -202,7 +196,7 @@ impl MarsConfig {
     /// The Riemannian optimizers walk on the sphere of a facet embedding,
     /// so they require `Spherical` geometry and the `Direct`
     /// parameterization (there is no manifold for "universal embedding whose
-    /// projections are unit" — see DESIGN.md's interpretive notes).
+    /// projections are unit").
     pub fn validate(&self) -> Result<(), String> {
         if self.facets == 0 {
             return Err("facets must be ≥ 1".into());

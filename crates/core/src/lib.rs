@@ -6,8 +6,8 @@
 //!
 //! * [`config::MarsConfig`] — one configuration struct covering MAR, MARS,
 //!   the CML-equivalent `K=1` ablation, every component toggle the paper
-//!   studies, and the execution-engine knobs ([`config::BatchMode`],
-//!   `threads`);
+//!   studies, and the execution-engine knobs (`batch_size`, `threads`,
+//!   `prefetch`);
 //! * [`kernels`] — facet-similarity and ambient-gradient kernels over flat
 //!   `K × D` facet buffers (plus the reusable [`kernels::Scratch`]);
 //! * [`loss`] — the push (Eq. 8/15), pull (Eq. 9/16) and facet-separating
@@ -22,9 +22,8 @@
 //!   at batch size 1 (`tests/grad_check.rs`);
 //! * [`trainer::Trainer`] — the epoch loop wiring in adaptive margins
 //!   (Eq. 7), explorative sampling (Eq. 10), dev-set tracking, the
-//!   projection constraints, and — in batched mode — user-sharded
-//!   data-parallel execution over a thread scope with deterministic
-//!   shard-order merging;
+//!   projection constraints, and user-sharded data-parallel execution
+//!   over a persistent worker pool with deterministic shard-order merging;
 //! * [`analysis`] — the facet case-study machinery behind the paper's
 //!   Figure 7 and Tables V/VI;
 //! * [`io`] — seed-free binary persistence of trained models.
@@ -72,9 +71,7 @@ pub mod loss;
 pub mod model;
 pub mod trainer;
 
-pub use config::{
-    BatchMode, FacetParam, Geometry, MarsConfig, NegativeSampling, OptimKind, UserSampling,
-};
+pub use config::{FacetParam, Geometry, MarsConfig, NegativeSampling, OptimKind, UserSampling};
 pub use engine::BatchAccum;
 pub use kernels::Scratch;
 pub use loss::{BatchLoss, TripletLoss};

@@ -5,32 +5,28 @@
 //! dev-set metrics per epoch, and enforces the factored-mode projection
 //! constraint at the cadence the config requests.
 //!
-//! Two execution engines, selected by [`MarsConfig::batch_mode`]:
+//! One update schedule: triplets stream into mini-batches of
+//! [`MarsConfig::batch_size`]; gradients accumulate against frozen
+//! parameters and each touched entity takes one step per batch
+//! ([`MultiFacetModel::train_batch`]). With [`MarsConfig::threads`] > 1
+//! each batch is sharded **by user** across a persistent
+//! [`mars_runtime::WorkerPool`] living for the whole `fit()` (no per-batch
+//! spawn/join), the per-shard accumulators are merged in shard order, and
+//! the merged batch is applied once — so runs are reproducible for a
+//! fixed seed, batch size and thread count (see the determinism contract
+//! in the `mars-runtime` module docs). The immediate one-step-per-triplet
+//! update the batched engine is checked against lives on as a reference,
+//! [`MultiFacetModel::train_triplet`] (`tests/grad_check.rs`: a batch of
+//! size 1 reproduces it).
 //!
-//! * [`BatchMode::PerTriplet`] — the seed's reference path: one immediate
-//!   optimizer step per row per triplet
-//!   ([`MultiFacetModel::train_triplet`]).
-//! * [`BatchMode::Batched`] — the default: triplets stream into mini-batches
-//!   of [`MarsConfig::batch_size`]; gradients accumulate against frozen
-//!   parameters and each touched row takes one step per batch
-//!   ([`MultiFacetModel::train_batch`]). With [`MarsConfig::threads`] > 1
-//!   each batch is sharded **by user** across a persistent
-//!   [`mars_runtime::WorkerPool`] living for the whole `fit()` (no per-batch
-//!   spawn/join), the per-shard accumulators are merged in shard order, and
-//!   the merged batch is applied once — so runs are reproducible for a
-//!   fixed seed, batch size and thread count (see the determinism contract
-//!   in the `mars-runtime` module docs).
-//!
-//! Triplet *sampling* is identical in both modes — and, since PR 4, a pure
-//! function of `(seed, batch index)`: the trainer consumes the
-//! counter-keyed [`TripletBatcher`] through a [`TripletStream`] (with
-//! [`MarsConfig::prefetch`] and a core to spare beyond the training threads
-//! and the filler, batch `b + 1` is drawn on a background thread while
-//! batch `b` trains, otherwise it is drawn inline; see the determinism
-//! contract in `mars-data::batch`).
-//! Switching engines changes update scheduling, never the data order.
+//! Triplet *sampling* is a pure function of `(seed, batch index)`: the
+//! trainer consumes the counter-keyed [`TripletBatcher`] through a
+//! [`TripletStream`] (with [`MarsConfig::prefetch`] and a core to spare
+//! beyond the training threads and the filler, batch `b + 1` is drawn on a
+//! background thread while batch `b` trains, otherwise it is drawn inline;
+//! see the determinism contract in `mars-data::batch`).
 
-use crate::config::{BatchMode, MarsConfig, NegativeSampling, UserSampling};
+use crate::config::{MarsConfig, NegativeSampling, UserSampling};
 use crate::engine::BatchAccum;
 use crate::kernels::Scratch;
 use crate::loss::BatchLoss;
@@ -53,9 +49,9 @@ pub struct EpochStats {
     pub epoch: usize,
     /// Mean weighted triplet loss over the epoch.
     pub mean_loss: f32,
-    /// Mean push / pull / facet components (unweighted). In batched mode
-    /// the facet term is counted once per unique entity per batch rather
-    /// than once per triplet occurrence.
+    /// Mean push / pull / facet components (unweighted). The facet term is
+    /// counted once per unique entity per batch, not once per triplet
+    /// occurrence.
     pub mean_push: f32,
     pub mean_pull: f32,
     pub mean_facet: f32,
@@ -182,15 +178,8 @@ impl Trainer {
             threads: 1,
         });
 
-        // Worker state is only needed by the batched engine; the per-triplet
-        // reference path must not pay for per-thread accumulators.
-        let mut shards = match cfg.batch_mode {
-            BatchMode::Batched => {
-                Some(Shards::new(cfg, mars_runtime::resolve_threads(cfg.threads)))
-            }
-            BatchMode::PerTriplet => None,
-        };
-        let workers = shards.as_ref().map_or(1, |sh| sh.shards.len());
+        let mut shards = Shards::new(cfg, mars_runtime::resolve_threads(cfg.threads));
+        let workers = shards.shards.len();
         let mut scratch = Scratch::new(cfg.facets, cfg.dim);
         let mut clip = ClipCadence {
             every: cfg.spectral_clip_every,
@@ -224,35 +213,22 @@ impl Trainer {
 
                 for _ in 0..batches_per_epoch {
                     let batch = stream.next_batch();
-                    match cfg.batch_mode {
-                        BatchMode::PerTriplet => {
-                            for &t in batch.triplets() {
-                                let gamma = margins[t.user as usize];
-                                let l = model.train_triplet(t, gamma, lr, &mut scratch);
-                                sums.add(l);
-                                clip.tick(1, &mut model);
-                            }
-                        }
-                        BatchMode::Batched => {
-                            if batch.is_empty() {
-                                continue;
-                            }
-                            buf.clear();
-                            buf.extend(
-                                batch
-                                    .triplets()
-                                    .iter()
-                                    .map(|&t| (t, margins[t.user as usize])),
-                            );
-                            let shards = shards.as_mut().expect("batched mode has shards");
-                            run_batch(&mut model, &buf, lr, &mut scratch, shards, &mut sums);
-                            clip.tick(buf.len(), &mut model);
-                        }
+                    if batch.is_empty() {
+                        continue;
                     }
+                    buf.clear();
+                    buf.extend(
+                        batch
+                            .triplets()
+                            .iter()
+                            .map(|&t| (t, margins[t.user as usize])),
+                    );
+                    run_batch(&mut model, &buf, lr, &mut scratch, &mut shards, &mut sums);
+                    clip.tick(buf.len(), &mut model);
                 }
                 model.enforce_projection_constraint();
                 let norms = model.norm_report();
-                let skipped = shards.as_ref().map_or(0, Shards::nonfinite_rows);
+                let skipped = shards.nonfinite_rows();
                 let skipped_before = std::mem::replace(&mut skipped_so_far, skipped);
 
                 let n = sums.count.max(1) as f64;
@@ -462,18 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn per_triplet_reference_mode_still_trains() {
-        let data = small_data();
-        let mut cfg = quick_cfg(MarsConfig::mars(2, 8));
-        cfg.batch_mode = BatchMode::PerTriplet;
-        let out = Trainer::new(cfg).fit(&data.dataset);
-        let first = out.history.first().unwrap().mean_loss;
-        let last = out.history.last().unwrap().mean_loss;
-        assert!(last < first, "loss did not decrease: {first} → {last}");
-        assert!(out.model.check_norm_invariant(1e-3));
-    }
-
-    #[test]
     fn trained_model_beats_untrained_on_dev() {
         let data = small_data();
         let cfg = quick_cfg(MarsConfig::mars(2, 8));
@@ -527,17 +491,19 @@ mod tests {
         let data = small_data();
         let mut cfg = quick_cfg(MarsConfig::mars(2, 8));
         cfg.epochs = 2;
-        cfg.threads = 4;
-        let a = Trainer::new(cfg.clone()).fit(&data.dataset);
-        let b = Trainer::new(cfg).fit(&data.dataset);
-        for (u, v) in [(0u32, 0u32), (7, 11), (30, 42)] {
-            assert_eq!(a.model.score(u, v), b.model.score(u, v));
+        for threads in [2, 4] {
+            cfg.threads = threads;
+            let a = Trainer::new(cfg.clone()).fit(&data.dataset);
+            let b = Trainer::new(cfg.clone()).fit(&data.dataset);
+            for (u, v) in [(0u32, 0u32), (7, 11), (30, 42)] {
+                assert_eq!(a.model.score(u, v), b.model.score(u, v));
+            }
+            assert_eq!(
+                a.history.last().unwrap().mean_loss,
+                b.history.last().unwrap().mean_loss
+            );
+            assert!(a.model.check_norm_invariant(1e-3), "threads {threads}");
         }
-        assert_eq!(
-            a.history.last().unwrap().mean_loss,
-            b.history.last().unwrap().mean_loss
-        );
-        assert!(a.model.check_norm_invariant(1e-3));
     }
 
     #[test]

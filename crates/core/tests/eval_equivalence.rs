@@ -7,6 +7,7 @@
 use mars_core::{MarsConfig, Trainer};
 use mars_data::{SyntheticConfig, SyntheticDataset};
 use mars_metrics::{EvalConfig, RankingEvaluator};
+use mars_runtime::WorkerPool;
 
 fn data() -> SyntheticDataset {
     SyntheticDataset::generate(
@@ -42,6 +43,18 @@ fn check(cfg: MarsConfig) {
             "{}: batched evaluation diverged from the sequential protocol at {threads} threads",
             cfg.tag()
         );
+        // The entry point `marsbench` times: one caller-owned pool reused
+        // across consecutive passes.
+        let pool = WorkerPool::with_threads(threads);
+        for pass in 0..2 {
+            let pooled = ev.evaluate_pairs_on(&model, &data.dataset, &data.dataset.test, &pool);
+            assert_eq!(
+                sequential,
+                pooled,
+                "{}: pass {pass} on a reused {threads}-thread pool diverged",
+                cfg.tag()
+            );
+        }
         // Grouped evaluation rides the same engine.
         let groups = ev.evaluate_by_user_degree(&model, &data.dataset, &[10, 25]);
         let regrouped: usize = groups.iter().map(|(_, r)| r.cases).sum();

@@ -596,8 +596,8 @@ impl<'env, N: NegativeSampler + Send + Sync + 'env> TripletStream<'env, N> {
         mode: FillMode<'env>,
     ) -> Self {
         // Prefetch needs a second core to overlap with; on one core it is
-        // pure overhead (BENCH_sampling.json measured 0.98×), so fall back
-        // to the identical-stream serial fill.
+        // pure overhead (a handoff per batch, nothing overlapped), so fall
+        // back to the identical-stream serial fill.
         let mode = match mode {
             FillMode::Prefetch if resolve_threads(0) == 1 => FillMode::Serial,
             m => m,

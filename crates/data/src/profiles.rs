@@ -3,7 +3,7 @@
 //! Each profile reproduces a benchmark dataset's user/item/interaction
 //! counts (and hence density) with the synthetic generator. `Scale::Paper`
 //! matches Table I exactly; `Scale::Small` divides the axes so CI runs and
-//! Criterion benches finish in seconds while preserving the density ordering
+//! the paper bins finish in minutes while preserving the density ordering
 //! across datasets (Delicious densest after ML-1M, BookX sparsest, …), the
 //! activity skew, and the planted facet structure.
 //!
@@ -118,8 +118,8 @@ impl Profile {
             },
         };
         // Popularity/activity exponents below the generator's defaults:
-        // calibrated (see DESIGN.md) so that the planted facet structure —
-        // not global item popularity — is the dominant preference signal,
+        // calibrated so that the planted facet structure — not global
+        // item popularity — is the dominant preference signal,
         // matching the paper's benchmark regime where metric-learning
         // models outperform popularity-friendly MF baselines.
         SyntheticConfig {

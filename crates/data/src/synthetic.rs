@@ -1,6 +1,6 @@
 //! Synthetic multi-facet implicit-feedback generator.
 //!
-//! Substitute for the paper's six public datasets (see DESIGN.md). The
+//! Substitute for the paper's six public datasets. The
 //! generative story mirrors the paper's Figure 1 world:
 //!
 //! 1. There are `num_categories` latent categories ("romantic", "comedy", …).

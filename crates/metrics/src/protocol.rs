@@ -221,8 +221,8 @@ impl RankingEvaluator {
 
     /// The seed's sequential reference protocol: one held-out pair at a
     /// time through scalar [`Scorer::score_many`] calls, negatives drawn
-    /// on the fly. Kept as the A/B baseline for the batched engine (the
-    /// equivalence is asserted in tests and measured in `BENCH_eval.json`).
+    /// on the fly. Kept as the reference the batched engine is checked
+    /// against (`Report`s bit-equal; `crates/core/tests/eval_equivalence.rs`).
     pub fn evaluate_pairs_sequential<S: Scorer + ?Sized>(
         &self,
         model: &S,

@@ -31,19 +31,6 @@
 //! irrelevant to the result: blocks belong to disjoint parameters and the
 //! gradients were computed before any of them moved.
 
-/// How a trainer schedules parameter updates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BatchMode {
-    /// The seed's reference path: one optimizer step per triplet per row,
-    /// applied immediately. Kept selectable for A/B checks and the
-    /// batch-size-1 equivalence tests.
-    PerTriplet,
-    /// Batched execution: gradients accumulate over a mini-batch and each
-    /// touched row takes a single step with its summed gradient.
-    #[default]
-    Batched,
-}
-
 /// Where a key's block lives, valid only while `stamp` equals the
 /// accumulator's current generation.
 #[derive(Clone, Copy, Debug, Default)]
@@ -316,11 +303,6 @@ mod tests {
         let mut order = Vec::new();
         a.for_each(|k, _| order.push(k));
         assert_eq!(order, vec![10, 20]);
-    }
-
-    #[test]
-    fn batch_mode_default_is_batched() {
-        assert_eq!(BatchMode::default(), BatchMode::Batched);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod sphere;
 
 pub mod riemannian;
 
-pub use accum::{BatchMode, GradAccumulator};
+pub use accum::GradAccumulator;
 pub use riemannian::{CalibratedRiemannianSgd, RiemannianSgd};
 pub use schedule::LrSchedule;
 pub use sgd::Sgd;

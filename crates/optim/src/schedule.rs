@@ -2,7 +2,7 @@
 //!
 //! The paper tunes a fixed learning rate per dataset; the trainer
 //! additionally supports step decay and cosine annealing for the ablation
-//! harness (the optional extensions DESIGN.md lists).
+//! harness.
 
 /// A learning-rate schedule: maps (epoch, total_epochs) → multiplier on the
 /// base learning rate.

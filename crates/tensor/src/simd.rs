@@ -33,7 +33,7 @@
 //!
 //! * **One definition per kernel.** Every entry point that must agree
 //!   bitwise (`Scorer::score` / `score_many` / `score_block`, the batched
-//!   vs. sequential evaluator, the per-triplet vs. batched trainer) bottoms
+//!   vs. sequential evaluator, the reference vs. batched update) bottoms
 //!   out in the same function here, so reorganizing a caller cannot change
 //!   float semantics.
 //! * **Stable dispatch.** The AVX2/portable decision is a pure function of
@@ -397,9 +397,9 @@ pub fn install_rng_kernel() {
     mars_runtime::rng::install_fill_block_kernel(fill_splitmix64);
 }
 
-/// The PR 2 reference kernels: strictly sequential scalar loops. Baseline
-/// for the kernel microbench (`BENCH_kernels.json`) and oracle for the
-/// cross-tier agreement tests — the engine itself no longer calls these.
+/// The PR 2 reference kernels: strictly sequential scalar loops. Oracle
+/// for the cross-tier agreement tests (`tests/simd.rs` here and
+/// `mars-optim`'s `tests/fused_step.rs`) — the engine does not call these.
 pub mod scalar {
     use super::RowStep;
 

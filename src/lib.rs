@@ -20,8 +20,7 @@
 //!   plus the direct-indexed mini-batch gradient accumulator
 //!   ([`optim::GradAccumulator`]) behind the batched engines.
 //! * [`core`] — the MAR / MARS models, losses, and the batched
-//!   data-parallel trainer (per-triplet reference path kept selectable via
-//!   `BatchMode::PerTriplet`).
+//!   data-parallel trainer.
 //! * [`baselines`] — BPR, NMF, NeuMF, CML, MetricF, TransCF, LRML, SML;
 //!   all ride the shared batch/accumulate engines.
 //! * [`serve`] — the retrieval API: [`serve::RecQuery`] →
@@ -50,10 +49,9 @@
 //! an atomic snapshot hot-swap so a trainer can publish new model epochs
 //! without pausing the serving loop (see `examples/live_serving.rs`).
 //!
-//! Engine throughput numbers live in the `BENCH_*.json` artifacts at the
-//! workspace root (`training`, `eval`, `kernels`, `sampling`, `serving`,
-//! `service`), each regenerated by its
-//! `cargo bench -p mars-bench --bench <name>`.
+//! Engine throughput is measured by one benchmark, the `marsbench/`
+//! package (train → snapshot → index → serve on three workloads);
+//! `BENCHMARK.json` at the workspace root holds its command and metrics.
 
 pub use mars_baselines as baselines;
 pub use mars_core as core;
