@@ -5,14 +5,14 @@
 //! ```text
 //! cargo run -p mars-bench --release --bin tune -- \
 //!     --datasets ciao --model mars --k 4 --dim 32 \
-//!     --lrs 0.05,0.1,0.2 --epoch-grid 15,30,60 [--direct true]
+//!     --lrs 0.05,0.1,0.2 --epoch-grid 15,30,60
 //! ```
 //!
 //! Reports dev-set nDCG@10 for every grid point and the test-set metrics of
 //! the dev-best configuration (the protocol that avoids test leakage).
 
 use mars_bench::{datasets, fmt_metric, print_table, Args};
-use mars_core::{FacetParam, MarsConfig, OptimKind, Trainer};
+use mars_core::{MarsConfig, OptimKind, Trainer};
 use mars_data::profiles::Profile;
 use mars_metrics::{EvalConfig, RankingEvaluator};
 
@@ -23,7 +23,8 @@ fn main() {
     let dim = args.get_or("dim", 32usize);
     let k = args.get_or("k", 4usize);
     let seed = args.get_or("seed", 7u64);
-    let model_kind = args.get("model").unwrap_or("mars").to_string();
+    let model_kind = args.choice("model", "mars", "mars|mar|cml");
+    let plain_rsgd = args.get_or("plain-rsgd", false);
     let lrs = args.list_or("lrs", &[0.05f32, 0.1, 0.2]);
     let epoch_grid = args.list_or("epoch-grid", &[15usize, 30, 60]);
 
@@ -44,15 +45,12 @@ fn main() {
         let mut best: Option<(f32, MarsConfig)> = None;
         for &lr in &lrs {
             for &epochs in &epoch_grid {
-                let mut cfg = match model_kind.as_str() {
+                let mut cfg = match model_kind {
                     "mar" => MarsConfig::mar(k, dim),
                     "cml" => MarsConfig::cml_like(dim),
                     _ => MarsConfig::mars(k, dim),
                 };
-                if args.get("direct") == Some("true") {
-                    cfg.parameterization = FacetParam::Direct;
-                }
-                if args.get("plain-rsgd") == Some("true") {
+                if plain_rsgd {
                     cfg.optimizer = OptimKind::Riemannian;
                 }
                 cfg.lr = lr;

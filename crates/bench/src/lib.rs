@@ -344,18 +344,39 @@ impl Args {
         or_exit(self.try_list(key)).unwrap_or_else(|| default.to_vec())
     }
 
+    /// Value of a flag that takes one of the `|`-separated words of
+    /// `expected` (`default` when the flag is absent); anything else is an
+    /// error.
+    pub fn try_choice<'a>(
+        &'a self,
+        key: &str,
+        default: &'a str,
+        expected: &'static str,
+    ) -> Result<&'a str, ArgError> {
+        let value = self.get(key).unwrap_or(default);
+        if expected.split('|').any(|word| word == value) {
+            Ok(value)
+        } else {
+            Err(ArgError {
+                flag: key.to_string(),
+                value: value.to_string(),
+                expected,
+            })
+        }
+    }
+
+    /// One-of-a-set flag; exits like [`Args::get_or`] on an unknown word.
+    pub fn choice<'a>(&'a self, key: &str, default: &'a str, expected: &'static str) -> &'a str {
+        or_exit(self.try_choice(key, default, expected))
+    }
+
     /// Scale flag (`--scale paper|small`, default small); anything else is
     /// an error.
     pub fn try_scale(&self) -> Result<Scale, ArgError> {
-        match self.get("scale") {
-            None | Some("small") => Ok(Scale::Small),
-            Some("paper") => Ok(Scale::Paper),
-            Some(other) => Err(ArgError {
-                flag: "scale".to_string(),
-                value: other.to_string(),
-                expected: "paper|small",
-            }),
-        }
+        Ok(match self.try_choice("scale", "small", "paper|small")? {
+            "paper" => Scale::Paper,
+            _ => Scale::Small,
+        })
     }
 
     /// Scale flag; exits like [`Args::get_or`] on an unknown scale.
@@ -426,6 +447,18 @@ mod tests {
         assert_eq!(
             err.to_string(),
             "invalid value 'papr' for --scale: expected paper|small"
+        );
+        // Any one-of-a-set flag (`tune --model`) goes the same way.
+        let words = "mars|mar|cml";
+        assert_eq!(args(&[]).try_choice("model", "mars", words), Ok("mars"));
+        let cml = args(&["--model", "cml"]);
+        assert_eq!(cml.try_choice("model", "mars", words), Ok("cml"));
+        let marz = args(&["--model", "marz"]);
+        assert_eq!(
+            marz.try_choice("model", "mars", words)
+                .unwrap_err()
+                .to_string(),
+            "invalid value 'marz' for --model: expected mars|mar|cml"
         );
     }
 

@@ -2,12 +2,14 @@
 //!
 //! One [`MarsConfig`] drives both frameworks of the paper:
 //!
-//! * [`MarsConfig::mar`] — MAR: Euclidean facet spaces, factored
-//!   parameterization (universal embeddings × shared projections, Eq. 1–4),
-//!   SGD with the unit-ball constraint of Eq. 11.
-//! * [`MarsConfig::mars`] — MARS: spherical facet spaces, direct facet
-//!   parameterization (the optimization variables of Eq. 19 are the facet
-//!   embeddings themselves), calibrated Riemannian SGD (Eq. 21).
+//! * [`MarsConfig::mar`] — MAR: Euclidean facet spaces (Eq. 3–4), SGD with
+//!   the unit-ball constraint of Eq. 11.
+//! * [`MarsConfig::mars`] — MARS: spherical facet spaces, calibrated
+//!   Riemannian SGD (Eq. 21).
+//!
+//! In both, the optimization variables are the facet embeddings themselves
+//! (the set `Ω` of Eq. 19); the factored form of Eq. 1–2 — universal
+//! embeddings × shared projections — seeds their initialization.
 //!
 //! Every ablation the harness runs — fixed vs adaptive margins, uniform vs
 //! explorative sampling, RSGD vs calibrated RSGD, λ sweeps, K sweeps — is a
@@ -25,27 +27,14 @@ pub enum Geometry {
     Spherical,
 }
 
-/// How facet embeddings are parameterized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FacetParam {
-    /// Universal embedding per entity + K shared projection matrices
-    /// (Eq. 1–2). Parameters: `u, v, Φ, Ψ, Θ`.
-    Factored,
-    /// K free facet embeddings per entity (the set `Ω` of Eq. 19), with the
-    /// factored form used only at initialization. Parameters:
-    /// `u^k, v^k, Θ`. Required by the Riemannian optimizers, whose manifold
-    /// is the facet embedding itself.
-    Direct,
-}
-
 /// Which optimizer updates the facet embeddings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OptimKind {
     /// Plain SGD (+ geometry constraint projection).
     Sgd,
-    /// Riemannian SGD, Eq. 20 (spherical + direct only).
+    /// Riemannian SGD, Eq. 20 (spherical only).
     Riemannian,
-    /// Calibrated Riemannian SGD, Eq. 21 (spherical + direct only).
+    /// Calibrated Riemannian SGD, Eq. 21 (spherical only).
     CalibratedRiemannian,
 }
 
@@ -75,7 +64,6 @@ pub struct MarsConfig {
     /// Per-facet embedding dimension D.
     pub dim: usize,
     pub geometry: Geometry,
-    pub parameterization: FacetParam,
     pub optimizer: OptimKind,
     /// Margin rule for the push loss (paper: adaptive, Eq. 7).
     pub margin: MarginMode,
@@ -117,32 +105,26 @@ pub struct MarsConfig {
     /// either way — batches are pure functions of `(seed, index)` (see
     /// `mars-data::batch`) — so this is a pure throughput knob.
     pub prefetch: bool,
-    /// How many steps between spectral re-clipping of the projection
-    /// matrices in factored mode (0 = every epoch end only).
-    pub spectral_clip_every: usize,
     /// RNG seed for init + sampling.
     pub seed: u64,
 }
 
 impl MarsConfig {
-    /// MAR defaults (Euclidean, direct facet parameterization, SGD,
-    /// adaptive margins, explorative sampling) for `facets` spaces of
-    /// dimension `dim`.
+    /// MAR defaults (Euclidean, SGD, adaptive margins, explorative
+    /// sampling) for `facets` spaces of dimension `dim`.
     ///
-    /// Direct parameterization is the default for MAR as well as MARS: the
-    /// paper's constraint set Ω (Eq. 19) is the facet embeddings, and our
-    /// controlled comparison (see `tune` in `mars-bench`)
-    /// shows the shared-projection factored variant trains markedly worse —
-    /// every triplet's rank-1 projection update perturbs *all* entities'
-    /// facet embeddings at once. The factored form of Eq. 1–2 is used at
-    /// initialization, and remains available as
-    /// [`FacetParam::Factored`] for the ablation harness.
+    /// The facet embeddings are the trained parameters for MAR as well as
+    /// MARS: the paper's constraint set Ω (Eq. 19) is the facet embeddings,
+    /// and in our controlled comparison the shared-projection variant
+    /// (training `u, v, Φ, Ψ` of Eq. 1–2) was markedly worse — every
+    /// triplet's rank-1 projection update perturbs *all* entities' facet
+    /// embeddings at once. The factored form of Eq. 1–2 is used at
+    /// initialization only.
     pub fn mar(facets: usize, dim: usize) -> Self {
         Self {
             facets,
             dim,
             geometry: Geometry::Euclidean,
-            parameterization: FacetParam::Direct,
             optimizer: OptimKind::Sgd,
             margin: MarginMode::DistinctTwoHop,
             min_margin: 0.05,
@@ -159,19 +141,17 @@ impl MarsConfig {
             threads: 1,
             negatives_per_positive: 4,
             prefetch: true,
-            spectral_clip_every: 512,
             seed: 42,
         }
     }
 
-    /// MARS defaults (spherical, direct, calibrated RSGD) on top of the MAR
+    /// MARS defaults (spherical, calibrated RSGD) on top of the MAR
     /// defaults. Learning rates are the grid-searched optimum of
     /// `mars-bench`'s `tune` binary under the multi-negative training
     /// regime, matching the paper's per-dataset lr tuning protocol (§V-A4).
     pub fn mars(facets: usize, dim: usize) -> Self {
         Self {
             geometry: Geometry::Spherical,
-            parameterization: FacetParam::Direct,
             optimizer: OptimKind::CalibratedRiemannian,
             lr: 0.05,
             theta_lr: 0.05,
@@ -194,9 +174,7 @@ impl MarsConfig {
     /// Validates internal consistency; returns a human-readable complaint.
     ///
     /// The Riemannian optimizers walk on the sphere of a facet embedding,
-    /// so they require `Spherical` geometry and the `Direct`
-    /// parameterization (there is no manifold for "universal embedding whose
-    /// projections are unit").
+    /// so they require `Spherical` geometry.
     pub fn validate(&self) -> Result<(), String> {
         if self.facets == 0 {
             return Err("facets must be ≥ 1".into());
@@ -222,15 +200,9 @@ impl MarsConfig {
         if self.negatives_per_positive == 0 {
             return Err("negatives_per_positive must be ≥ 1".into());
         }
-        match (self.optimizer, self.geometry, self.parameterization) {
-            (OptimKind::Riemannian | OptimKind::CalibratedRiemannian, g, p)
-                if g != Geometry::Spherical || p != FacetParam::Direct =>
-            {
-                Err(
-                    "Riemannian optimizers require Spherical geometry and Direct \
-                     parameterization"
-                        .into(),
-                )
+        match (self.optimizer, self.geometry) {
+            (OptimKind::Riemannian | OptimKind::CalibratedRiemannian, Geometry::Euclidean) => {
+                Err("Riemannian optimizers require Spherical geometry".into())
             }
             _ => Ok(()),
         }
@@ -262,7 +234,6 @@ mod tests {
     fn mars_uses_spherical_calibrated() {
         let c = MarsConfig::mars(3, 16);
         assert_eq!(c.geometry, Geometry::Spherical);
-        assert_eq!(c.parameterization, FacetParam::Direct);
         assert_eq!(c.optimizer, OptimKind::CalibratedRiemannian);
     }
 
@@ -272,9 +243,6 @@ mod tests {
         c.optimizer = OptimKind::CalibratedRiemannian;
         assert!(c.validate().is_err());
         c.geometry = Geometry::Spherical;
-        c.parameterization = FacetParam::Factored;
-        assert!(c.validate().is_err());
-        c.parameterization = FacetParam::Direct;
         assert!(c.validate().is_ok());
     }
 

@@ -24,14 +24,12 @@
 //! The unit of staging is the **entity**, not the row. Entities are numbered
 //! users `[0, U)`, items `[U, U + I)`, and that number keys a
 //! [`GradAccumulator`] (direct-indexed, see its module docs) whose block
-//! holds the whole gradient of the entity: all `K × D` facet rows in the
-//! direct parameterization — the same layout as
-//! [`crate::embedding::FacetTable::entity`], so parameter block and gradient
-//! block meet in one fused kernel call — or the `D`-wide universal row in the
-//! factored one. A user's Θ-logit gradient rides in a `K`-wide sibling
-//! accumulator keyed by the user id. One index probe per entity per triplet
-//! stages everything, and the accumulator's slot list *is* the first-touch
-//! list of entities the finish pass walks.
+//! holds the whole gradient of the entity: all `K × D` facet rows — the same
+//! layout as [`crate::embedding::FacetTable::entity`], so parameter block and
+//! gradient block meet in one fused kernel call. A user's Θ-logit gradient
+//! rides in a `K`-wide sibling accumulator keyed by the user id. One index
+//! probe per entity per triplet stages everything, and the accumulator's slot
+//! list *is* the first-touch list of entities the finish pass walks.
 //!
 //! Accumulation reuses work across a **run** of consecutive triplets that
 //! share their user or positive (the batcher emits one run per sampled
@@ -52,25 +50,22 @@
 //! (its entity's rows, its user's logits) and every gradient was computed
 //! before the first of them moved.
 
-use crate::config::{FacetParam, Geometry, MarsConfig, OptimKind};
+use crate::config::{Geometry, MarsConfig, OptimKind};
 use crate::kernels::{self, Scratch};
 use crate::loss::{self, BatchLoss, TripletLoss};
 use crate::model::{MultiFacetModel, Params};
 use mars_data::batch::Triplet;
 use mars_optim::{GradAccumulator, Optimizer, RiemannianSgd, Sgd};
-use mars_tensor::{nonlin, ops, rows, simd, Matrix};
+use mars_tensor::{nonlin, ops, rows, simd};
 
 /// Staging area for one mini-batch of gradients against a
 /// [`MultiFacetModel`] (see the module docs for the layout).
 pub struct BatchAccum {
-    /// One block per touched entity, keyed by entity number: `K × D` facet
-    /// gradients (direct) or the `D`-wide universal gradient (factored).
+    /// One `K × D` block of facet gradients per touched entity, keyed by
+    /// entity number.
     rows: GradAccumulator,
     /// Θ-logit gradients, one `K`-wide block per touched user.
     theta: GradAccumulator,
-    /// Projection-matrix gradients (factored mode only, else empty).
-    dphi: Vec<Matrix>,
-    dpsi: Vec<Matrix>,
     /// Rows whose step was skipped for a non-finite gradient, over every
     /// batch this accumulator has finished.
     nonfinite_rows: u64,
@@ -79,16 +74,9 @@ pub struct BatchAccum {
 impl BatchAccum {
     /// An empty accumulator sized for the model configuration.
     pub fn new(cfg: &MarsConfig) -> Self {
-        let projections = |n: usize| (0..n).map(|_| Matrix::zeros(cfg.dim, cfg.dim)).collect();
-        let (block, projected) = match cfg.parameterization {
-            FacetParam::Factored => (cfg.dim, cfg.facets),
-            FacetParam::Direct => (cfg.facets * cfg.dim, 0),
-        };
         Self {
-            rows: GradAccumulator::new(block),
+            rows: GradAccumulator::new(cfg.facets * cfg.dim),
             theta: GradAccumulator::new(cfg.facets),
-            dphi: projections(projected),
-            dpsi: projections(projected),
             nonfinite_rows: 0,
         }
     }
@@ -97,9 +85,6 @@ impl BatchAccum {
     pub fn begin_batch(&mut self) {
         self.rows.clear();
         self.theta.clear();
-        for m in self.dphi.iter_mut().chain(self.dpsi.iter_mut()) {
-            m.as_mut_slice().fill(0.0);
-        }
     }
 
     /// Folds a shard accumulator into this one, block by block in the
@@ -109,12 +94,6 @@ impl BatchAccum {
     pub fn merge_from(&mut self, other: &BatchAccum) {
         self.rows.merge_from(&other.rows);
         self.theta.merge_from(&other.theta);
-        for (m, o) in self.dphi.iter_mut().zip(&other.dphi) {
-            m.add_scaled(1.0, o);
-        }
-        for (m, o) in self.dpsi.iter_mut().zip(&other.dpsi) {
-            m.add_scaled(1.0, o);
-        }
     }
 
     /// Parameter rows that [`MultiFacetModel::finish_batch`] left unchanged
@@ -141,34 +120,20 @@ impl MultiFacetModel {
     /// then merge the accumulators in shard order. The facet-separating term
     /// is *not* staged here (see [`MultiFacetModel::finish_batch`]); the
     /// returned sums carry `facet = 0`.
+    ///
+    /// Facet blocks are borrowed from the tables (no gather), per-entity
+    /// work is reused across a run, and gradients land straight in the
+    /// entities' accumulator blocks.
     pub fn accumulate_batch(
         &self,
         batch: &[(Triplet, f32)],
         s: &mut Scratch,
         acc: &mut BatchAccum,
     ) -> BatchLoss {
-        match self.params() {
-            Params::Direct { .. } => self.accumulate_direct(batch, s, acc),
-            Params::Factored { .. } => self.accumulate_factored(batch, s, acc),
-        }
-    }
-
-    /// Direct parameterization: facet blocks are borrowed from the tables
-    /// (no gather), per-entity work is reused across a run, and gradients
-    /// land straight in the entities' accumulator blocks.
-    fn accumulate_direct(
-        &self,
-        batch: &[(Triplet, f32)],
-        s: &mut Scratch,
-        acc: &mut BatchAccum,
-    ) -> BatchLoss {
-        let Params::Direct {
+        let Params {
             user_facets,
             item_facets,
-        } = self.params()
-        else {
-            unreachable!("accumulate_direct on a factored model");
-        };
+        } = self.params();
         let cfg = self.config();
         let (geometry, d) = (cfg.geometry, cfg.dim);
         let spherical = geometry == Geometry::Spherical;
@@ -245,64 +210,6 @@ impl MultiFacetModel {
         out
     }
 
-    /// Factored parameterization (the ablation path): facets are projected
-    /// on the fly, so every triplet gathers its three facet sets and the
-    /// facet gradients chain back to the universal rows and the shared
-    /// projections (frozen for the whole batch).
-    fn accumulate_factored(
-        &self,
-        batch: &[(Triplet, f32)],
-        s: &mut Scratch,
-        acc: &mut BatchAccum,
-    ) -> BatchLoss {
-        let Params::Factored {
-            user_emb,
-            item_emb,
-            phi,
-            psi,
-        } = self.params()
-        else {
-            unreachable!("accumulate_factored on a direct model");
-        };
-        let d = self.config().dim;
-        let item_base = self.num_users();
-        let mut out = BatchLoss::default();
-        for &(t, gamma) in batch {
-            let (u, p, q) = (t.user as usize, t.positive as usize, t.negative as usize);
-            nonlin::softmax(self.theta_logits().row(u), &mut s.theta);
-            self.gather_triplet(t, s);
-            let (push, pull) = self.stage_triplet(gamma, s);
-            out.add(TripletLoss {
-                push,
-                pull,
-                facet: 0.0,
-            });
-            let slot_theta = acc.theta.slot(u);
-            add_into(acc.theta.block_mut(slot_theta), &s.theta_grad);
-            for (key, row, grads) in [
-                (u, u, &s.du),
-                (item_base + p, p, &s.dp),
-                (item_base + q, q, &s.dq),
-            ] {
-                let (projections, emb, dmats) = if key < item_base {
-                    (phi, user_emb, &mut acc.dphi)
-                } else {
-                    (psi, item_emb, &mut acc.dpsi)
-                };
-                let slot = acc.rows.slot(key);
-                for (f, (projection, dmat)) in projections.iter().zip(dmats).enumerate() {
-                    let grad = rows::row(grads, d, f);
-                    // Chain rule to the universal embedding, and the
-                    // projection gradient ∂L/∂φ_k = u ⊗ ∂L/∂u^k.
-                    projection.matvec(grad, &mut s.tmp);
-                    add_into(acc.rows.block_mut(slot), &s.tmp);
-                    dmat.ger(1.0, emb.row(row), grad);
-                }
-            }
-        }
-        out
-    }
-
     /// Walks the touched entities once: adds each one's facet-separating
     /// gradient to its staged block and steps all its rows, then clears the
     /// accumulator. Returns the summed facet-separation loss (counted once
@@ -320,82 +227,41 @@ impl MultiFacetModel {
         acc.theta
             .for_each(|user, grad| ops::axpy(-theta_lr, grad, logits.row_mut(user)));
 
-        match self.params_mut() {
-            Params::Direct {
-                user_facets,
-                item_facets,
-            } => {
-                let num_users = user_facets.rows();
-                for slot in 0..acc.rows.len() {
-                    let key = acc.rows.key(slot);
-                    let x = match key.checked_sub(num_users) {
-                        None => user_facets.entity_mut(key),
-                        Some(item) => item_facets.entity_mut(item),
-                    };
-                    let g = acc.rows.block_mut(slot);
-                    if let Some((alpha, lambda)) = separation {
-                        facet_loss +=
-                            loss::facet_separation(geometry, alpha, lambda, x, d, g) as f64;
-                    }
-                    match (optimizer, geometry) {
-                        (OptimKind::CalibratedRiemannian, _) => {
-                            nonfinite += simd::calibrated_rsgd_rows(x, g, d, lr);
-                        }
-                        (OptimKind::Sgd, Geometry::Euclidean) => {
-                            nonfinite += simd::sgd_clip_rows(x, g, d, lr, 1.0);
-                        }
-                        (OptimKind::Riemannian, _) => {
-                            let rsgd = RiemannianSgd::new(lr);
-                            for (x, g) in x.chunks_exact_mut(d).zip(g.chunks_exact(d)) {
-                                rsgd.step_buffered(x, g, &mut s.tmp);
-                            }
-                        }
-                        (OptimKind::Sgd, Geometry::Spherical) => {
-                            // Projected SGD: Euclidean step, renormalize.
-                            let sgd = Sgd::new(lr);
-                            for (x, g) in x.chunks_exact_mut(d).zip(g.chunks_exact(d)) {
-                                sgd.step(x, g);
-                                ops::normalize(x);
-                            }
-                        }
-                    }
-                }
+        let Params {
+            user_facets,
+            item_facets,
+        } = self.params_mut();
+        let num_users = user_facets.rows();
+        for slot in 0..acc.rows.len() {
+            let key = acc.rows.key(slot);
+            let x = match key.checked_sub(num_users) {
+                None => user_facets.entity_mut(key),
+                Some(item) => item_facets.entity_mut(item),
+            };
+            let g = acc.rows.block_mut(slot);
+            if let Some((alpha, lambda)) = separation {
+                facet_loss += loss::facet_separation(geometry, alpha, lambda, x, d, g) as f64;
             }
-            Params::Factored {
-                user_emb,
-                item_emb,
-                phi,
-                psi,
-            } => {
-                let num_users = user_emb.rows();
-                for slot in 0..acc.rows.len() {
-                    let key = acc.rows.key(slot);
-                    let (emb, row, projections, dmats) = match key.checked_sub(num_users) {
-                        None => (&mut *user_emb, key, &*phi, &mut acc.dphi),
-                        Some(item) => (&mut *item_emb, item, &*psi, &mut acc.dpsi),
-                    };
-                    let g = acc.rows.block_mut(slot);
-                    if let Some((alpha, lambda)) = separation {
-                        for (f, projection) in projections.iter().enumerate() {
-                            projection.matvec_t(emb.row(row), rows::row_mut(&mut s.uf, d, f));
-                        }
-                        s.du.fill(0.0);
-                        facet_loss +=
-                            loss::facet_separation(geometry, alpha, lambda, &s.uf, d, &mut s.du)
-                                as f64;
-                        for (f, (projection, dmat)) in projections.iter().zip(dmats).enumerate() {
-                            let grad = rows::row(&s.du, d, f);
-                            projection.matvec(grad, &mut s.tmp);
-                            add_into(g, &s.tmp);
-                            dmat.ger(1.0, emb.row(row), grad);
-                        }
-                    }
-                    // Universal embedding step + ball constraint (Eq. 11).
-                    nonfinite += simd::sgd_clip_rows(emb.row_mut(row), g, d, lr, 1.0);
+            match (optimizer, geometry) {
+                (OptimKind::CalibratedRiemannian, _) => {
+                    nonfinite += simd::calibrated_rsgd_rows(x, g, d, lr);
                 }
-                for f in 0..k {
-                    phi[f].add_scaled(-lr, &acc.dphi[f]);
-                    psi[f].add_scaled(-lr, &acc.dpsi[f]);
+                (OptimKind::Sgd, Geometry::Euclidean) => {
+                    nonfinite += simd::sgd_clip_rows(x, g, d, lr, 1.0);
+                }
+                (OptimKind::Riemannian, _) => {
+                    let rsgd = RiemannianSgd::new(lr);
+                    for (x, g) in x.chunks_exact_mut(d).zip(g.chunks_exact(d)) {
+                        rsgd.step_buffered(x, g, &mut s.tmp);
+                    }
+                }
+                (OptimKind::Sgd, Geometry::Spherical) => {
+                    // Projected SGD: Euclidean step, renormalize.
+                    let sgd = Sgd::new(lr);
+                    for (x, g) in x.chunks_exact_mut(d).zip(g.chunks_exact(d)) {
+                        sgd.step(x, g);
+                        ops::normalize(x);
+                    }
                 }
             }
         }
@@ -619,10 +485,7 @@ mod tests {
         let before = m.clone();
         m.finish_batch(&mut acc, 0.1, &mut s);
         assert_eq!(acc.nonfinite_rows(), 1);
-        let facets = |m: &MultiFacetModel, f: usize| match m.params() {
-            Params::Direct { user_facets, .. } => user_facets.facet(0, f).to_vec(),
-            Params::Factored { .. } => unreachable!(),
-        };
+        let facets = |m: &MultiFacetModel, f: usize| m.params().user_facets.facet(0, f).to_vec();
         assert_eq!(facets(&m, 1), facets(&before, 1), "poisoned row moved");
         assert_ne!(facets(&m, 0), facets(&before, 0), "healthy row did not");
         assert!(m.norm_report().finite);

@@ -174,10 +174,6 @@ pub struct Scratch {
     pub(crate) theta_grad: Vec<f32>,
     /// Generic `D`-sized temporary.
     pub(crate) tmp: Vec<f32>,
-    /// Universal-embedding gradients for the factored chain rule (`D`).
-    pub(crate) univ_u: Vec<f32>,
-    pub(crate) univ_p: Vec<f32>,
-    pub(crate) univ_q: Vec<f32>,
 }
 
 impl Scratch {
@@ -185,7 +181,6 @@ impl Scratch {
     pub fn new(k: usize, d: usize) -> Self {
         let kd = || vec![0.0; k * d];
         let kv = || vec![0.0; k];
-        let dv = || vec![0.0; d];
         Self {
             uf: kd(),
             pf: kd(),
@@ -203,10 +198,7 @@ impl Scratch {
             w_q: kv(),
             theta_upstream: kv(),
             theta_grad: kv(),
-            tmp: dv(),
-            univ_u: dv(),
-            univ_p: dv(),
-            univ_q: dv(),
+            tmp: vec![0.0; d],
         }
     }
 }

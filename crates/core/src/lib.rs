@@ -12,8 +12,8 @@
 //!   `K × D` facet buffers (plus the reusable [`kernels::Scratch`]);
 //! * [`loss`] — the push (Eq. 8/15), pull (Eq. 9/16) and facet-separating
 //!   (Eq. 6/12) terms with their upstream coefficients;
-//! * [`model::MultiFacetModel`] — parameters (universal/factored or direct
-//!   facet embeddings), cross-facet similarity (Eq. 4 / Eq. 14), scoring,
+//! * [`model::MultiFacetModel`] — parameters (the facet embeddings and the
+//!   facet-weight logits), cross-facet similarity (Eq. 4 / Eq. 14), scoring,
 //!   and the per-triplet **reference** update path;
 //! * [`engine`] — the batched path: gradients for a mini-batch accumulate
 //!   against frozen parameters in an [`engine::BatchAccum`] — one block per
@@ -21,9 +21,9 @@
 //!   step over all its rows; numerically equivalent to the reference path
 //!   at batch size 1 (`tests/grad_check.rs`);
 //! * [`trainer::Trainer`] — the epoch loop wiring in adaptive margins
-//!   (Eq. 7), explorative sampling (Eq. 10), dev-set tracking, the
-//!   projection constraints, and user-sharded data-parallel execution
-//!   over a persistent worker pool with deterministic shard-order merging;
+//!   (Eq. 7), explorative sampling (Eq. 10), dev-set tracking, and
+//!   user-sharded data-parallel execution over a persistent worker pool
+//!   with deterministic shard-order merging;
 //! * [`analysis`] — the facet case-study machinery behind the paper's
 //!   Figure 7 and Tables V/VI;
 //! * [`io`] — seed-free binary persistence of trained models.
@@ -71,7 +71,7 @@ pub mod loss;
 pub mod model;
 pub mod trainer;
 
-pub use config::{FacetParam, Geometry, MarsConfig, NegativeSampling, OptimKind, UserSampling};
+pub use config::{Geometry, MarsConfig, NegativeSampling, OptimKind, UserSampling};
 pub use engine::BatchAccum;
 pub use kernels::Scratch;
 pub use loss::{BatchLoss, TripletLoss};

@@ -1,17 +1,15 @@
 //! The multi-facet recommender model (MAR and MARS).
 //!
 //! One struct covers both frameworks of the paper; the configuration picks
-//! the geometry, parameterization and optimizer:
+//! the geometry and optimizer. In both, the trainable parameters are the
+//! facet embeddings themselves — `K` rows of dimension `D` per user and per
+//! item — plus the logits behind the per-user facet weights `Θ_u`:
 //!
-//! * **MAR** (Eq. 1–11): universal embeddings `u, v ∈ R^D` + shared
-//!   projections `Φ, Ψ` produce facet embeddings `u^k = φ_kᵀu`; similarity
-//!   is negative squared Euclidean distance per facet, combined by per-user
-//!   softmax weights `Θ_u`; SGD with the unit-ball constraint.
-//! * **MARS** (Eq. 12–21): the optimization variables are the facet
-//!   embeddings themselves (`Ω` of Eq. 19), constrained to the unit sphere;
-//!   similarity is cosine; training uses (calibrated) Riemannian SGD. The
-//!   factored form seeds the initialization, mirroring how the paper wires
-//!   MAR's architecture into MARS.
+//! * **MAR** (Eq. 1–11): similarity is negative squared Euclidean distance
+//!   per facet, combined by per-user softmax weights `Θ_u`; SGD with the
+//!   unit-ball constraint.
+//! * **MARS** (Eq. 12–21): facet embeddings constrained to the unit sphere;
+//!   similarity is cosine; training uses (calibrated) Riemannian SGD.
 //!
 //! The numerical layers live in sibling modules: [`crate::kernels`] holds
 //! the facet-similarity and ambient-gradient kernels (and the [`Scratch`]
@@ -24,12 +22,18 @@
 //!
 //! ### Interpretive notes (divergences from the paper's notation)
 //!
-//! 1. **Sphere constraints + shared projections.** Eq. 15 writes the MARS
+//! 1. **Both frameworks optimise `Ω` directly; the factored form is the
+//!    initialiser.** Eq. 1–2 write a facet embedding as a shared projection
+//!    of a universal one (`u^k = φ_kᵀu`) and Eq. 15 writes the MARS
 //!    similarity through `Φ/Ψ`, but Eq. 19's constraint set `Ω` contains the
 //!    facet embeddings, and the Riemannian update (Eq. 21) moves a point on
 //!    *its own* sphere — which is only well-defined when the facet
-//!    embeddings are free parameters. We therefore train MARS in the direct
-//!    parameterization, initialized from the factored form.
+//!    embeddings are free parameters. For MAR the reason is empirical:
+//!    training `u, v, Φ, Ψ` was markedly worse in our controlled comparison
+//!    (recorded at [`MarsConfig::mar`]), because every triplet's rank-1
+//!    projection update moves *all* entities' facet embeddings at once. So
+//!    [`MultiFacetModel::new`] draws universal embeddings and near-identity
+//!    `Φ_k, Ψ_k`, projects once, and the facet tables are what trains.
 //! 2. **Ambient gradients for cosine terms.** On the unit sphere,
 //!    `∇_x cos(x,y) = y − (xᵀy)x`; the tangent projection inside the
 //!    optimizer supplies the `−(xᵀy)x` part, so the model hands the
@@ -42,7 +46,7 @@
 //!    consistent with Eq. 6's "encourage orthogonality" and the Euclidean
 //!    form.
 
-use crate::config::{FacetParam, Geometry, MarsConfig, OptimKind};
+use crate::config::{Geometry, MarsConfig, OptimKind};
 use crate::embedding::{EmbeddingTable, FacetTable};
 use crate::kernels;
 use crate::loss;
@@ -59,21 +63,11 @@ use mars_tensor::{init, nonlin, ops, rows, Matrix};
 use rand::rngs::StdRng; // audit:allow(determinism) — only ever seeded (init/datagen)
 use rand::SeedableRng;
 
-/// Trainable parameters, per parameterization (see module docs).
+/// The trainable facet embeddings (the set `Ω` of Eq. 19; see module docs).
 #[derive(Clone, Debug)]
-pub enum Params {
-    /// Universal embeddings + shared facet projections (MAR).
-    Factored {
-        user_emb: EmbeddingTable,
-        item_emb: EmbeddingTable,
-        phi: Vec<Matrix>,
-        psi: Vec<Matrix>,
-    },
-    /// Free facet embeddings (MARS).
-    Direct {
-        user_facets: FacetTable,
-        item_facets: FacetTable,
-    },
+pub struct Params {
+    pub user_facets: FacetTable,
+    pub item_facets: FacetTable,
 }
 
 /// Result of [`MultiFacetModel::norm_report`].
@@ -100,14 +94,12 @@ pub struct MultiFacetModel {
 impl MultiFacetModel {
     /// Initializes a model for the given catalogue sizes.
     ///
-    /// Factored mode: uniform universal embeddings (scaled `1/√D`, clipped
-    /// to the unit ball) and near-identity projections — at step 0 every
-    /// facet space is a mild perturbation of the universal space, and the
-    /// facet-separating loss drives them apart.
-    ///
-    /// Direct mode: facet embeddings are produced by projecting that same
-    /// factored initialization, then constrained (normalized for spherical
-    /// geometry, ball-clipped for Euclidean).
+    /// Draws uniform universal embeddings (scaled `1/√D`, clipped to the
+    /// unit ball) and near-identity projections, and projects (Eq. 1–2): at
+    /// step 0 every facet space is a mild perturbation of the universal
+    /// space, and the facet-separating loss drives them apart. The facet
+    /// embeddings are then constrained (normalized for spherical geometry,
+    /// ball-clipped for Euclidean).
     ///
     /// # Panics
     /// If the configuration fails [`MarsConfig::validate`].
@@ -132,45 +124,31 @@ impl MultiFacetModel {
             .map(|_| init::near_identity_matrix(&mut rng, d, 1.0, 0.35 * scale))
             .collect();
 
-        let params = match cfg.parameterization {
-            FacetParam::Factored => Params::Factored {
-                user_emb,
-                item_emb,
-                phi,
-                psi,
-            },
-            FacetParam::Direct => {
-                let mut user_facets = FacetTable::zeros(num_users, k, d);
-                let mut item_facets = FacetTable::zeros(num_items, k, d);
-                let mut tmp = vec![0.0; d];
-                for u in 0..num_users {
-                    for (f, m) in phi.iter().enumerate() {
-                        m.matvec_t(user_emb.row(u), &mut tmp);
-                        user_facets.facet_mut(u, f).copy_from_slice(&tmp);
-                    }
-                }
-                for v in 0..num_items {
-                    for (f, m) in psi.iter().enumerate() {
-                        m.matvec_t(item_emb.row(v), &mut tmp);
-                        item_facets.facet_mut(v, f).copy_from_slice(&tmp);
-                    }
-                }
-                match cfg.geometry {
-                    Geometry::Spherical => {
-                        user_facets.normalize();
-                        item_facets.normalize();
-                    }
-                    Geometry::Euclidean => {
-                        user_facets.clip_to_unit_ball();
-                        item_facets.clip_to_unit_ball();
-                    }
-                }
-                Params::Direct {
-                    user_facets,
-                    item_facets,
-                }
+        let mut user_facets = FacetTable::zeros(num_users, k, d);
+        let mut item_facets = FacetTable::zeros(num_items, k, d);
+        let mut tmp = vec![0.0; d];
+        for u in 0..num_users {
+            for (f, m) in phi.iter().enumerate() {
+                m.matvec_t(user_emb.row(u), &mut tmp);
+                user_facets.facet_mut(u, f).copy_from_slice(&tmp);
             }
-        };
+        }
+        for v in 0..num_items {
+            for (f, m) in psi.iter().enumerate() {
+                m.matvec_t(item_emb.row(v), &mut tmp);
+                item_facets.facet_mut(v, f).copy_from_slice(&tmp);
+            }
+        }
+        match cfg.geometry {
+            Geometry::Spherical => {
+                user_facets.normalize();
+                item_facets.normalize();
+            }
+            Geometry::Euclidean => {
+                user_facets.clip_to_unit_ball();
+                item_facets.clip_to_unit_ball();
+            }
+        }
 
         // Uniform facet weights at init (zero logits).
         let theta_logits = EmbeddingTable::zeros(num_users, k);
@@ -179,7 +157,10 @@ impl MultiFacetModel {
             cfg,
             num_users,
             num_items,
-            params,
+            params: Params {
+                user_facets,
+                item_facets,
+            },
             theta_logits,
         }
     }
@@ -224,26 +205,12 @@ impl MultiFacetModel {
 
     /// Writes user `u`'s facet-`k` embedding into `out`.
     pub fn user_facet(&self, u: UserId, k: usize, out: &mut [f32]) {
-        match &self.params {
-            Params::Factored { user_emb, phi, .. } => {
-                phi[k].matvec_t(user_emb.row(u as usize), out);
-            }
-            Params::Direct { user_facets, .. } => {
-                out.copy_from_slice(user_facets.facet(u as usize, k));
-            }
-        }
+        out.copy_from_slice(self.params.user_facets.facet(u as usize, k));
     }
 
     /// Writes item `v`'s facet-`k` embedding into `out`.
     pub fn item_facet(&self, v: ItemId, k: usize, out: &mut [f32]) {
-        match &self.params {
-            Params::Factored { item_emb, psi, .. } => {
-                psi[k].matvec_t(item_emb.row(v as usize), out);
-            }
-            Params::Direct { item_facets, .. } => {
-                out.copy_from_slice(item_facets.facet(v as usize, k));
-            }
-        }
+        out.copy_from_slice(self.params.item_facets.facet(v as usize, k));
     }
 
     /// Writes all `K` facet embeddings of user `u` into a flat `K × D`
@@ -293,18 +260,17 @@ impl MultiFacetModel {
     // ------------------------------------------------------------------
 
     /// Gathers the triplet's facet sets into the scratch buffers.
-    pub(crate) fn gather_triplet(&self, t: Triplet, s: &mut Scratch) {
+    fn gather_triplet(&self, t: Triplet, s: &mut Scratch) {
         self.gather_user_facets(t.user, &mut s.uf);
         self.gather_item_facets(t.positive, &mut s.pf);
         self.gather_item_facets(t.negative, &mut s.qf);
     }
 
-    /// Gradient staging of the per-triplet reference path (and the batched
-    /// engine's factored mode). Expects `s.theta` and the gathered facet
-    /// sets (`s.uf/pf/qf`) to be filled; computes the similarity gradients
-    /// into `s.du/dp/dq` (overwriting) and the Θ-logit gradient into
-    /// `s.theta_grad`. Returns `(push, pull)`.
-    pub(crate) fn stage_triplet(&self, gamma: f32, s: &mut Scratch) -> (f32, f32) {
+    /// Gradient staging of the per-triplet reference path. Expects `s.theta`
+    /// and the gathered facet sets (`s.uf/pf/qf`) to be filled; computes the
+    /// similarity gradients into `s.du/dp/dq` (overwriting) and the Θ-logit
+    /// gradient into `s.theta_grad`. Returns `(push, pull)`.
+    fn stage_triplet(&self, gamma: f32, s: &mut Scratch) -> (f32, f32) {
         let geometry = self.cfg.geometry;
         let d = self.cfg.dim;
         kernels::similarities(geometry, &s.uf, &s.pf, d, &mut s.gp);
@@ -386,124 +352,69 @@ impl MultiFacetModel {
     }
 
     /// Routes the staged gradients into the parameters (immediate steps).
-    fn apply_updates(&mut self, t: Triplet, lr: f32, s: &mut Scratch) {
+    fn apply_updates(&mut self, t: Triplet, lr: f32, s: &Scratch) {
         let k = self.cfg.facets;
         let dim = self.cfg.dim;
         let optimizer = self.cfg.optimizer;
         let geometry = self.cfg.geometry;
-        match &mut self.params {
-            Params::Direct {
-                user_facets,
-                item_facets,
-            } => {
-                let step = |param: &mut [f32], grad: &[f32]| match (optimizer, geometry) {
-                    (OptimKind::Sgd, Geometry::Euclidean) => {
-                        Sgd::with_max_norm(lr, 1.0).step(param, grad);
-                    }
-                    (OptimKind::Sgd, Geometry::Spherical) => {
-                        // Projected SGD: Euclidean step, renormalize.
-                        Sgd::new(lr).step(param, grad);
-                        ops::normalize(param);
-                    }
-                    (OptimKind::Riemannian, _) => {
-                        RiemannianSgd::new(lr).step(param, grad);
-                    }
-                    (OptimKind::CalibratedRiemannian, _) => {
-                        CalibratedRiemannianSgd::new(lr).step(param, grad);
-                    }
-                };
-                for f in 0..k {
-                    step(
-                        user_facets.facet_mut(t.user as usize, f),
-                        rows::row(&s.du, dim, f),
-                    );
-                    step(
-                        item_facets.facet_mut(t.positive as usize, f),
-                        rows::row(&s.dp, dim, f),
-                    );
-                    step(
-                        item_facets.facet_mut(t.negative as usize, f),
-                        rows::row(&s.dq, dim, f),
-                    );
-                }
+        let Params {
+            user_facets,
+            item_facets,
+        } = &mut self.params;
+        let step = |param: &mut [f32], grad: &[f32]| match (optimizer, geometry) {
+            (OptimKind::Sgd, Geometry::Euclidean) => {
+                Sgd::with_max_norm(lr, 1.0).step(param, grad);
             }
-            Params::Factored {
-                user_emb,
-                item_emb,
-                phi,
-                psi,
-            } => {
-                let u = t.user as usize;
-                let p = t.positive as usize;
-                let q = t.negative as usize;
-                // Chain rule to universal embeddings first (projections must
-                // still hold their pre-update values).
-                s.univ_u.fill(0.0);
-                s.univ_p.fill(0.0);
-                s.univ_q.fill(0.0);
-                for f in 0..k {
-                    phi[f].matvec(rows::row(&s.du, dim, f), &mut s.tmp);
-                    ops::axpy(1.0, &s.tmp, &mut s.univ_u);
-                    psi[f].matvec(rows::row(&s.dp, dim, f), &mut s.tmp);
-                    ops::axpy(1.0, &s.tmp, &mut s.univ_p);
-                    psi[f].matvec(rows::row(&s.dq, dim, f), &mut s.tmp);
-                    ops::axpy(1.0, &s.tmp, &mut s.univ_q);
-                }
-                // Projection gradients: ∂L/∂φ_k = u ⊗ ∂L/∂u^k.
-                for f in 0..k {
-                    phi[f].ger(-lr, user_emb.row(u), rows::row(&s.du, dim, f));
-                    psi[f].ger(-lr, item_emb.row(p), rows::row(&s.dp, dim, f));
-                    psi[f].ger(-lr, item_emb.row(q), rows::row(&s.dq, dim, f));
-                }
-                // Universal embedding steps + ball constraint (Eq. 11).
-                let sgd = Sgd::with_max_norm(lr, 1.0);
-                sgd.step(user_emb.row_mut(u), &s.univ_u);
-                sgd.step(item_emb.row_mut(p), &s.univ_p);
-                sgd.step(item_emb.row_mut(q), &s.univ_q);
+            (OptimKind::Sgd, Geometry::Spherical) => {
+                // Projected SGD: Euclidean step, renormalize.
+                Sgd::new(lr).step(param, grad);
+                ops::normalize(param);
             }
+            (OptimKind::Riemannian, _) => {
+                RiemannianSgd::new(lr).step(param, grad);
+            }
+            (OptimKind::CalibratedRiemannian, _) => {
+                CalibratedRiemannianSgd::new(lr).step(param, grad);
+            }
+        };
+        for f in 0..k {
+            step(
+                user_facets.facet_mut(t.user as usize, f),
+                rows::row(&s.du, dim, f),
+            );
+            step(
+                item_facets.facet_mut(t.positive as usize, f),
+                rows::row(&s.dp, dim, f),
+            );
+            step(
+                item_facets.facet_mut(t.negative as usize, f),
+                rows::row(&s.dq, dim, f),
+            );
         }
     }
 
-    /// Re-clips the projections' spectral norms to 1 (factored mode only;
-    /// no-op for direct). Together with `‖u‖ ≤ 1` this enforces the facet
-    /// constraint `‖u^k‖ ≤ 1` of Eq. 11.
-    pub fn enforce_projection_constraint(&mut self) {
-        if let Params::Factored { phi, psi, .. } = &mut self.params {
-            for m in phi.iter_mut().chain(psi.iter_mut()) {
-                m.clip_spectral_norm(1.0, 12);
-            }
-        }
-    }
+    /// Does nothing: the model has no projection matrices to constrain (the
+    /// facet embeddings are the parameters, and every optimizer step leaves
+    /// them on their constraint set). Kept only because `marsbench`, which
+    /// must compile against this crate unmodified, still calls it; it goes
+    /// with the rest of the staged engine surface (ROADMAP item 1c).
+    pub fn enforce_projection_constraint(&mut self) {}
 
     /// How far the parameters are from their constraint set, and whether
     /// they are all finite — the numeric guard the trainer evaluates at
-    /// every epoch boundary. Drift is `max |‖row‖ − 1|` on the unit sphere
-    /// (direct + spherical) and `max(‖row‖ − 1, 0)` under the unit-ball
-    /// constraint (facet rows in direct + Euclidean mode, universal
-    /// embeddings in factored mode).
+    /// every epoch boundary. Drift over the facet rows is `max |‖row‖ − 1|`
+    /// on the unit sphere (spherical geometry) and `max(‖row‖ − 1, 0)` under
+    /// the unit-ball constraint (Euclidean).
     pub fn norm_report(&self) -> NormReport {
-        let (tables, sphere) = match &self.params {
-            Params::Direct {
-                user_facets,
-                item_facets,
-            } => (
-                [user_facets.as_slice(), item_facets.as_slice()],
-                self.cfg.geometry == Geometry::Spherical,
-            ),
-            Params::Factored {
-                user_emb, item_emb, ..
-            } => ([user_emb.as_slice(), item_emb.as_slice()], false),
-        };
+        let tables = [
+            self.params.user_facets.as_slice(),
+            self.params.item_facets.as_slice(),
+        ];
+        let sphere = self.cfg.geometry == Geometry::Spherical;
         let mut report = NormReport {
             max_drift: 0.0,
             finite: self.theta_logits.as_slice().iter().all(|v| v.is_finite()),
         };
-        if let Params::Factored { phi, psi, .. } = &self.params {
-            report.finite &= phi
-                .iter()
-                .chain(psi)
-                .all(|m| m.as_slice().iter().all(|v| v.is_finite()));
-        }
         for row in tables.iter().flat_map(|t| t.chunks_exact(self.cfg.dim)) {
             // A NaN or infinite entry makes the norm non-finite, so one
             // reduction per row answers both questions.
@@ -519,8 +430,8 @@ impl MultiFacetModel {
     }
 
     /// Checks the geometry invariant within `tol`: every parameter finite,
-    /// and on the unit sphere (direct+spherical) or inside the unit ball
-    /// (elsewhere) — see [`MultiFacetModel::norm_report`].
+    /// and on the unit sphere (spherical geometry) or inside the unit ball
+    /// (Euclidean) — see [`MultiFacetModel::norm_report`].
     pub fn check_norm_invariant(&self, tol: f32) -> bool {
         let report = self.norm_report();
         report.finite && report.max_drift <= tol
@@ -601,7 +512,7 @@ impl Scorer for MultiFacetModel {
     }
 
     fn score_many(&self, user: UserId, items: &[ItemId], out: &mut Vec<f32>) {
-        // Share the user-side work (facet projection + softmax) across
+        // Share the user-side work (facet gather + softmax) across
         // candidates — the evaluator scores 100 negatives per test case.
         let k = self.cfg.facets;
         let d = self.cfg.dim;
@@ -622,68 +533,62 @@ impl Scorer for MultiFacetModel {
     }
 
     fn score_block(&self, user: UserId, items: &[ItemId], out: &mut Vec<f32>) {
-        // Batched-evaluation hot path. In the direct parameterization both
-        // facet tables store each entity's K facets contiguously, so every
-        // candidate's whole facet set is scored by one fused
-        // `kernels::similarities` call (mars-tensor::rows dot/dist kernels)
-        // on *borrowed* blocks — no per-facet gather copies. Bit-identical
-        // to `score_many` by the kernels' bitwise-agreement guarantee and
-        // the identical facet-order reduction.
-        match &self.params {
-            Params::Direct {
-                user_facets,
-                item_facets,
-            } => {
-                let k = self.cfg.facets;
-                let d = self.cfg.dim;
-                let theta = self.theta(user);
-                let ub = user_facets.entity(user as usize);
-                let mut sims = vec![0.0; k];
-                out.clear();
-                out.reserve(items.len());
-                match self.cfg.geometry {
-                    Geometry::Spherical => {
-                        // `ops::cosine` recomputes ‖u^k‖ per candidate;
-                        // across a 101-candidate block the user-side norms
-                        // are loop-invariant, so hoist them. Same ops on
-                        // the same inputs (norm, dot, the zero guard, the
-                        // clamp) ⇒ the per-facet values stay bit-identical
-                        // to `facet_similarity`.
-                        let mut na = vec![0.0; k];
-                        for (f, n) in na.iter_mut().enumerate() {
-                            *n = ops::norm(rows::row(ub, d, f));
-                        }
-                        for &v in items {
-                            let vb = item_facets.entity(v as usize);
-                            rows::dot_rows(ub, vb, d, &mut sims);
-                            let mut sum = 0.0;
-                            for f in 0..k {
-                                let nb = ops::norm(rows::row(vb, d, f));
-                                let sim = if na[f] <= f32::MIN_POSITIVE || nb <= f32::MIN_POSITIVE {
-                                    0.0
-                                } else {
-                                    (sims[f] / (na[f] * nb)).clamp(-1.0, 1.0)
-                                };
-                                sum += theta[f] * sim;
-                            }
-                            out.push(sum);
-                        }
+        // Batched-evaluation hot path. Both facet tables store each entity's
+        // K facets contiguously, so every candidate's whole facet set is
+        // scored by one fused `kernels::similarities` call
+        // (mars-tensor::rows dot/dist kernels) on *borrowed* blocks — no
+        // per-facet gather copies. Bit-identical to `score_many` by the
+        // kernels' bitwise-agreement guarantee and the identical facet-order
+        // reduction.
+        let Params {
+            user_facets,
+            item_facets,
+        } = &self.params;
+        let k = self.cfg.facets;
+        let d = self.cfg.dim;
+        let theta = self.theta(user);
+        let ub = user_facets.entity(user as usize);
+        let mut sims = vec![0.0; k];
+        out.clear();
+        out.reserve(items.len());
+        match self.cfg.geometry {
+            Geometry::Spherical => {
+                // `ops::cosine` recomputes ‖u^k‖ per candidate;
+                // across a 101-candidate block the user-side norms
+                // are loop-invariant, so hoist them. Same ops on
+                // the same inputs (norm, dot, the zero guard, the
+                // clamp) ⇒ the per-facet values stay bit-identical
+                // to `facet_similarity`.
+                let mut na = vec![0.0; k];
+                for (f, n) in na.iter_mut().enumerate() {
+                    *n = ops::norm(rows::row(ub, d, f));
+                }
+                for &v in items {
+                    let vb = item_facets.entity(v as usize);
+                    rows::dot_rows(ub, vb, d, &mut sims);
+                    let mut sum = 0.0;
+                    for f in 0..k {
+                        let nb = ops::norm(rows::row(vb, d, f));
+                        let sim = if na[f] <= f32::MIN_POSITIVE || nb <= f32::MIN_POSITIVE {
+                            0.0
+                        } else {
+                            (sims[f] / (na[f] * nb)).clamp(-1.0, 1.0)
+                        };
+                        sum += theta[f] * sim;
                     }
-                    Geometry::Euclidean => {
-                        for &v in items {
-                            rows::dist_sq_rows(ub, item_facets.entity(v as usize), d, &mut sims);
-                            let mut sum = 0.0;
-                            for f in 0..k {
-                                sum += theta[f] * -sims[f];
-                            }
-                            out.push(sum);
-                        }
-                    }
+                    out.push(sum);
                 }
             }
-            // Factored mode projects facets on the fly; the shared-user-work
-            // path is already the best available order of operations.
-            Params::Factored { .. } => self.score_many(user, items, out),
+            Geometry::Euclidean => {
+                for &v in items {
+                    rows::dist_sq_rows(ub, item_facets.entity(v as usize), d, &mut sims);
+                    let mut sum = 0.0;
+                    for f in 0..k {
+                        sum += theta[f] * -sims[f];
+                    }
+                    out.push(sum);
+                }
+            }
         }
     }
 }
@@ -754,10 +659,7 @@ mod tests {
     }
 
     fn mar_model() -> MultiFacetModel {
-        // Exercise the factored (shared-projection) parameterization here;
-        // the direct default is covered by the MARS tests.
         let mut cfg = MarsConfig::mar(3, 6);
-        cfg.parameterization = crate::config::FacetParam::Factored;
         cfg.seed = 9;
         MultiFacetModel::new(cfg, 4, 8)
     }
@@ -855,10 +757,7 @@ mod tests {
         assert!(mar_model().check_norm_invariant(1e-4));
         let mars = mars_model();
         assert!(mars.check_norm_invariant(1e-4));
-        match mars.params() {
-            Params::Direct { user_facets, .. } => assert!(user_facets.all_unit(1e-4)),
-            _ => panic!("MARS must be direct"),
-        }
+        assert!(mars.params().user_facets.all_unit(1e-4));
     }
 
     #[test]
@@ -895,17 +794,10 @@ mod tests {
 
     #[test]
     fn score_block_is_bit_identical_to_score_many() {
-        // The batched evaluator's exactness rests on this: the fused
-        // direct-mode block path and the per-facet score_many path must
-        // agree to the last bit, for both geometries (plus the factored
-        // fallback, trivially).
-        let mut direct_euclidean = MarsConfig::mar(3, 6);
-        direct_euclidean.seed = 9;
-        for m in [
-            mar_model(),
-            mars_model(),
-            MultiFacetModel::new(direct_euclidean, 4, 8),
-        ] {
+        // The batched evaluator's exactness rests on this: the fused block
+        // path and the per-facet score_many path must agree to the last
+        // bit, for both geometries.
+        for m in [mar_model(), mars_model()] {
             let items: Vec<ItemId> = (0..8).rev().collect();
             let mut many = Vec::new();
             let mut block = Vec::new();
@@ -1001,7 +893,6 @@ mod tests {
             };
             m.train_triplet(t, 0.4, 0.1, &mut s);
         }
-        m.enforce_projection_constraint();
         assert!(m.check_norm_invariant(1e-3));
     }
 
@@ -1027,16 +918,9 @@ mod tests {
         // The IndexEmbeddings impl must satisfy the index module's
         // equivalence guarantee: with every cell probed, ExactRescore
         // retrieval is bit-identical to the exact scan — spherical
-        // (normalized IP index), Euclidean (raw negative-L2 index), and
-        // the factored parameterization (facets projected on the fly).
+        // (normalized IP index) and Euclidean (raw negative-L2 index).
         use mars_serve::{IvfConfig, RecQuery, Retriever};
-        let mut direct_euclidean = MarsConfig::mar(3, 6);
-        direct_euclidean.seed = 9;
-        for (mut m, _) in [
-            (mars_model(), 0),
-            (MultiFacetModel::new(direct_euclidean, 4, 8), 0),
-            (mar_model(), 0),
-        ] {
+        for mut m in [mars_model(), mar_model()] {
             let mut s = Scratch::new(3, 6);
             for i in 0..40 {
                 let t = Triplet {
@@ -1062,34 +946,6 @@ mod tests {
                     as_bits(&indexed.retrieve(&q).ranked),
                     as_bits(&exact.retrieve(&q).ranked),
                     "user {u}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn spectral_constraint_bounds_facet_norms_in_factored_mode() {
-        let mut m = mar_model();
-        let mut s = Scratch::new(3, 6);
-        // Train hard with a large lr to blow up the projections...
-        for i in 0..200 {
-            let t = Triplet {
-                user: (i % 4) as UserId,
-                positive: (i % 8) as ItemId,
-                negative: ((i + 1) % 8) as ItemId,
-            };
-            m.train_triplet(t, 1.0, 0.5, &mut s);
-        }
-        // ...then enforce and verify ‖u^k‖ ≤ ~1.
-        m.enforce_projection_constraint();
-        let mut buf = vec![0.0; 6];
-        for u in 0..4 {
-            for k in 0..3 {
-                m.user_facet(u, k, &mut buf);
-                assert!(
-                    ops::norm(&buf) <= 1.05,
-                    "facet norm {} exceeds ball",
-                    ops::norm(&buf)
                 );
             }
         }

@@ -1,9 +1,9 @@
 //! Training loop for MAR / MARS.
 //!
 //! Wires the data-layer pieces (adaptive margins, explorative sampling,
-//! triplet sampling) into parameter updates, tracks losses and optional
-//! dev-set metrics per epoch, and enforces the factored-mode projection
-//! constraint at the cadence the config requests.
+//! triplet sampling) into parameter updates at the constant learning rate
+//! [`MarsConfig::lr`], and tracks losses and optional dev-set metrics per
+//! epoch.
 //!
 //! One update schedule: triplets stream into mini-batches of
 //! [`MarsConfig::batch_size`]; gradients accumulate against frozen
@@ -39,7 +39,6 @@ use mars_data::sampler::{
     NegativeSampler, PopularityNegativeSampler, UniformNegativeSampler, UserSampler,
 };
 use mars_metrics::{EvalConfig, RankingEvaluator};
-use mars_optim::LrSchedule;
 use mars_runtime::rng::seeds;
 use mars_runtime::WorkerPool;
 
@@ -81,7 +80,6 @@ pub struct TrainOutcome {
 /// Trains a [`MultiFacetModel`] on a [`Dataset`].
 pub struct Trainer {
     cfg: MarsConfig,
-    schedule: LrSchedule,
     /// Evaluate on the dev split every N epochs (0 = never).
     dev_eval_every: usize,
 }
@@ -112,7 +110,6 @@ impl Trainer {
     pub fn new(cfg: MarsConfig) -> Self {
         Self {
             cfg,
-            schedule: LrSchedule::Constant,
             dev_eval_every: 0,
         }
     }
@@ -120,12 +117,6 @@ impl Trainer {
     /// Enables dev-set HR@10 tracking every `every` epochs.
     pub fn with_dev_tracking(mut self, every: usize) -> Self {
         self.dev_eval_every = every;
-        self
-    }
-
-    /// Overrides the learning-rate schedule.
-    pub fn with_schedule(mut self, schedule: LrSchedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -181,10 +172,6 @@ impl Trainer {
         let mut shards = Shards::new(cfg, mars_runtime::resolve_threads(cfg.threads));
         let workers = shards.shards.len();
         let mut scratch = Scratch::new(cfg.facets, cfg.dim);
-        let mut clip = ClipCadence {
-            every: cfg.spectral_clip_every,
-            since: 0,
-        };
 
         // One epoch visits approximately as many positives as there are
         // interactions; each positive (= batcher slot) is contrasted against
@@ -208,7 +195,6 @@ impl Trainer {
             };
             let mut stream = TripletStream::spawn(scope, x, batcher, mode);
             for epoch in 0..cfg.epochs {
-                let lr = self.schedule.lr(cfg.lr, epoch, cfg.epochs);
                 let mut sums = BatchLoss::default();
 
                 for _ in 0..batches_per_epoch {
@@ -223,10 +209,15 @@ impl Trainer {
                             .iter()
                             .map(|&t| (t, margins[t.user as usize])),
                     );
-                    run_batch(&mut model, &buf, lr, &mut scratch, &mut shards, &mut sums);
-                    clip.tick(buf.len(), &mut model);
+                    run_batch(
+                        &mut model,
+                        &buf,
+                        cfg.lr,
+                        &mut scratch,
+                        &mut shards,
+                        &mut sums,
+                    );
                 }
-                model.enforce_projection_constraint();
                 let norms = model.norm_report();
                 let skipped = shards.nonfinite_rows();
                 let skipped_before = std::mem::replace(&mut skipped_so_far, skipped);
@@ -280,25 +271,6 @@ impl Trainer {
 /// run; the triplet stream is identical either way.
 fn prefetch_has_headroom(workers: usize) -> bool {
     mars_runtime::resolve_threads(0) >= workers + 2
-}
-
-/// Spectral-clip cadence bookkeeping (factored mode; no-op for direct).
-struct ClipCadence {
-    every: usize,
-    since: usize,
-}
-
-impl ClipCadence {
-    fn tick(&mut self, steps: usize, model: &mut MultiFacetModel) {
-        if self.every == 0 {
-            return;
-        }
-        self.since += steps;
-        if self.since >= self.every {
-            model.enforce_projection_constraint();
-            self.since = 0;
-        }
-    }
 }
 
 /// One worker's state for the data-parallel batch path: its triplet slice

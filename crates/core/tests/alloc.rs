@@ -8,7 +8,7 @@
 //! installs a counting global allocator (its own test binary, so the counter
 //! sees nothing else) and holds the engine to that.
 
-use mars_core::{BatchAccum, FacetParam, MarsConfig, MultiFacetModel, Scratch};
+use mars_core::{BatchAccum, MarsConfig, MultiFacetModel, Scratch};
 use mars_data::batch::Triplet;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,16 +89,9 @@ fn batch(b: u32, runs: u32) -> Vec<(Triplet, f32)> {
 
 #[test]
 fn steady_state_train_batch_does_not_allocate() {
-    let mut factored = MarsConfig::mar(3, 8);
-    factored.parameterization = FacetParam::Factored;
     let mut plain_rsgd = MarsConfig::mars(3, 8);
     plain_rsgd.optimizer = mars_core::OptimKind::Riemannian;
-    for cfg in [
-        MarsConfig::mars(3, 8),
-        MarsConfig::mar(3, 8),
-        plain_rsgd,
-        factored,
-    ] {
+    for cfg in [MarsConfig::mars(3, 8), MarsConfig::mar(3, 8), plain_rsgd] {
         let mut model = MultiFacetModel::new(cfg.clone(), USERS as usize, ITEMS as usize);
         let mut scratch = Scratch::new(cfg.facets, cfg.dim);
         let mut acc = BatchAccum::new(&cfg);

@@ -71,15 +71,6 @@ fn mars_batched_eval_matches_sequential_bitwise() {
 }
 
 #[test]
-fn mar_factored_batched_eval_matches_sequential_bitwise() {
-    let mut cfg = MarsConfig::mar(3, 8);
-    cfg.parameterization = mars_core::FacetParam::Factored;
-    cfg.epochs = 3;
-    cfg.batch_size = 256;
-    check(cfg);
-}
-
-#[test]
 fn mar_direct_batched_eval_matches_sequential_bitwise() {
     let mut cfg = MarsConfig::mar(2, 8);
     cfg.epochs = 3;

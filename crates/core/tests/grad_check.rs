@@ -6,8 +6,7 @@
 //! approximately `lr · ‖∇‖²` — and, more stringently, the decrease must
 //! match the first-order prediction within a few percent. This validates
 //! the entire gradient path (per-facet similarity gradients, softmax-Θ
-//! backprop, facet-separating terms, factored-mode chain rule) against the
-//! loss definition itself.
+//! backprop, facet-separating terms) against the loss definition itself.
 //!
 //! For the spherical model the parameters move on the manifold, so the test
 //! compares against the observed-vs-predicted decrease along the *actual*
@@ -15,11 +14,10 @@
 //!
 //! The second half of the file pins the **batched engine** to this
 //! reference: a `train_batch` of size 1 must reproduce `train_triplet`'s
-//! update for every parameter (both geometries / parameterizations), and
+//! update for every parameter (both geometries, every optimizer), and
 //! repeating that over several sequential steps must stay pinned — the
 //! batch path may not leak state between batches.
 
-use mars_core::model::Params;
 use mars_core::{BatchAccum, MarsConfig, MultiFacetModel, Scratch};
 use mars_data::batch::Triplet;
 
@@ -79,14 +77,6 @@ fn check_first_order(mut cfg: MarsConfig) {
 }
 
 #[test]
-fn first_order_mar_factored_euclidean() {
-    let mut cfg = MarsConfig::mar(3, 5);
-    cfg.parameterization = mars_core::FacetParam::Factored;
-    cfg.seed = 11;
-    check_first_order(cfg);
-}
-
-#[test]
 fn first_order_mars_direct_spherical_calibrated() {
     let mut cfg = MarsConfig::mars(3, 5);
     cfg.seed = 11;
@@ -104,7 +94,6 @@ fn first_order_mars_plain_riemannian() {
 #[test]
 fn first_order_direct_euclidean() {
     let mut cfg = MarsConfig::mar(3, 5);
-    cfg.parameterization = mars_core::FacetParam::Direct;
     cfg.seed = 13;
     check_first_order(cfg);
 }
@@ -157,44 +146,11 @@ fn max_param_diff(a: &MultiFacetModel, b: &MultiFacetModel) -> f32 {
             .map(|(p, q)| (p - q).abs())
             .fold(0.0f32, f32::max)
     }
-    let mut worst = slice_diff(a.theta_logits().as_slice(), b.theta_logits().as_slice());
-    match (a.params(), b.params()) {
-        (
-            Params::Direct {
-                user_facets: ua,
-                item_facets: ia,
-            },
-            Params::Direct {
-                user_facets: ub,
-                item_facets: ib,
-            },
-        ) => {
-            worst = worst.max(slice_diff(ua.as_slice(), ub.as_slice()));
-            worst = worst.max(slice_diff(ia.as_slice(), ib.as_slice()));
-        }
-        (
-            Params::Factored {
-                user_emb: ua,
-                item_emb: ia,
-                phi: pa,
-                psi: sa,
-            },
-            Params::Factored {
-                user_emb: ub,
-                item_emb: ib,
-                phi: pb,
-                psi: sb,
-            },
-        ) => {
-            worst = worst.max(slice_diff(ua.as_slice(), ub.as_slice()));
-            worst = worst.max(slice_diff(ia.as_slice(), ib.as_slice()));
-            for (m, n) in pa.iter().zip(pb).chain(sa.iter().zip(sb)) {
-                worst = worst.max(slice_diff(m.as_slice(), n.as_slice()));
-            }
-        }
-        _ => panic!("parameterizations diverged"),
-    }
-    worst
+    let (pa, pb) = (a.params(), b.params());
+    let theta = slice_diff(a.theta_logits().as_slice(), b.theta_logits().as_slice());
+    let users = slice_diff(pa.user_facets.as_slice(), pb.user_facets.as_slice());
+    let items = slice_diff(pa.item_facets.as_slice(), pb.item_facets.as_slice());
+    theta.max(users).max(items)
 }
 
 /// Runs the same triplet sequence through `train_triplet` and through
@@ -239,14 +195,6 @@ fn check_batch1_equivalence(cfg: MarsConfig) {
 }
 
 #[test]
-fn batch1_equivalence_mar_factored_euclidean() {
-    let mut cfg = MarsConfig::mar(3, 5);
-    cfg.parameterization = mars_core::FacetParam::Factored;
-    cfg.seed = 11;
-    check_batch1_equivalence(cfg);
-}
-
-#[test]
 fn batch1_equivalence_mars_direct_spherical_calibrated() {
     let mut cfg = MarsConfig::mars(3, 5);
     cfg.seed = 11;
@@ -280,11 +228,7 @@ fn batch1_equivalence_spherical_projected_sgd() {
 /// the summed objective (both geometries), mirroring `check_first_order`.
 #[test]
 fn batched_step_decreases_summed_objective() {
-    for mut cfg in [MarsConfig::mars(3, 5), {
-        let mut c = MarsConfig::mar(3, 5);
-        c.parameterization = mars_core::FacetParam::Factored;
-        c
-    }] {
+    for mut cfg in [MarsConfig::mars(3, 5), MarsConfig::mar(3, 5)] {
         cfg.seed = 19;
         cfg.theta_lr = 1e-12;
         let batch = [

@@ -34,7 +34,7 @@ proptest! {
         }
     }
 
-    /// MAR factored: universal embeddings never leave the unit ball.
+    /// MAR: facet embeddings never leave the unit ball.
     #[test]
     fn mar_ball_invariant_under_random_training(
         triplets in proptest::collection::vec(triplet_strategy(6, 8), 1..60),

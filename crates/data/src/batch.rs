@@ -26,7 +26,7 @@
 //!   negative (all sharing the slot's user and positive) — the multi-negative
 //!   regime of the paper's Eq. 5/8 double sum;
 //! * a slot whose user turns out saturated (no negative exists) retries
-//!   with a fresh user from the same stream, up to [`SLOT_ATTEMPTS`] times,
+//!   with a fresh user from the same stream, up to `SLOT_ATTEMPTS` times,
 //!   then yields nothing (short batch — only possible on pathological
 //!   datasets where nearly every user interacted with everything).
 //!

@@ -15,15 +15,13 @@
 //!   loss pulls them towards take proportionally larger steps.
 //!
 //! [`sphere`] holds the manifold primitives (tangent projection, retraction,
-//! exponential map) with the geometric identities tested directly, and
-//! [`schedule`] the learning-rate schedules the trainer consumes.
+//! exponential map) with the geometric identities tested directly.
 
 // This crate is part of the deterministic numeric core: no unsafe
 // anywhere (the vetted unsafe surface lives in mars-tensor::simd
 // and mars-runtime; see `cargo run -p mars-audit -- check`).
 #![forbid(unsafe_code)]
 pub mod accum;
-pub mod schedule;
 pub mod sgd;
 pub mod sphere;
 
@@ -31,14 +29,13 @@ pub mod riemannian;
 
 pub use accum::GradAccumulator;
 pub use riemannian::{CalibratedRiemannianSgd, RiemannianSgd};
-pub use schedule::LrSchedule;
 pub use sgd::Sgd;
 
 /// A first-order optimizer over a single parameter vector.
 ///
 /// The trainers in `mars-core`/`mars-baselines` apply per-row updates to
 /// embedding tables, so the interface is a single `step` on a slice; state
-/// (learning rate, schedules) lives in the optimizer.
+/// (the learning rate) lives in the optimizer.
 ///
 /// The batched engines stage gradients in a [`GradAccumulator`] and step
 /// each touched row once with its *summed* gradient — through
@@ -52,7 +49,7 @@ pub trait Optimizer {
     /// Updates `param` in place given the gradient of the loss at `param`.
     fn step(&self, param: &mut [f32], grad: &[f32]);
 
-    /// Current learning rate (after any schedule).
+    /// Current learning rate.
     fn lr(&self) -> f32;
 
     /// [`Optimizer::step`] with caller-provided scratch of the same length,

@@ -12,7 +12,7 @@
 //! shipped it over an `mpsc` channel (a second channel collected
 //! completions), so the per-batch hot path allocated `O(workers)` times.
 //! Dispatch now uses a **preallocated job slot** per worker: one
-//! `AtomicPtr` that the caller points at a per-call [`TaskHeader`] living
+//! `AtomicPtr` that the caller points at a per-call `TaskHeader` living
 //! on the `scatter` stack frame (publish = one release store + `unpark`),
 //! and that the worker consumes, runs, and acknowledges by decrementing the
 //! header's remaining-counter and unparking the caller. Worker `i − 1`

@@ -80,7 +80,7 @@
 //!
 //! ## Liveness
 //!
-//! Every accepted request is answered. [`Submission`]'s destructor
+//! Every accepted request is answered. `Submission`'s destructor
 //! completes the caller with [`ServiceError::Stopped`] on any path where
 //! the dispatcher did not — queue teardown, or an unwind that escapes
 //! even the supervisor. Dropping the service disconnects the queue and

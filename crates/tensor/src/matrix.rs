@@ -1,9 +1,10 @@
 //! Row-major dense `f32` matrix.
 //!
-//! [`Matrix`] backs the facet projection matrices `Φ_k`, `Ψ_k` (D×D), the
-//! MLP weights inside NeuMF / LRML, and the relation memories of LRML. It is
-//! a single flat `Vec<f32>` plus shape; rows are contiguous so `row(i)`
-//! returns a plain slice that the [`crate::ops`] kernels accept directly.
+//! [`Matrix`] backs the facet projection matrices `Φ_k`, `Ψ_k` (D×D) that
+//! seed the MAR / MARS initialization, the MLP weights inside NeuMF / LRML,
+//! and the relation memories of LRML. It is a single flat `Vec<f32>` plus
+//! shape; rows are contiguous so `row(i)` returns a plain slice that the
+//! [`crate::ops`] kernels accept directly.
 
 use crate::ops;
 
@@ -142,7 +143,8 @@ impl Matrix {
 
     /// Rank-1 update `A ← A + alpha · x yᵀ` (BLAS `ger`).
     ///
-    /// Used for projection-matrix gradients: `∂L/∂φ_k = u ⊗ ∂L/∂u^k`.
+    /// Used for outer-product accumulation: NMF's Gram matrices and the MLP
+    /// weight gradient `δ ⊗ input`.
     pub fn ger(&mut self, alpha: f32, x: &[f32], y: &[f32]) {
         assert_eq!(x.len(), self.rows, "ger: x has wrong length");
         assert_eq!(y.len(), self.cols, "ger: y has wrong length");
@@ -182,52 +184,6 @@ impl Matrix {
     /// In-place scalar multiply.
     pub fn scale(&mut self, alpha: f32) {
         ops::scale(&mut self.data, alpha);
-    }
-
-    /// `self ← self + alpha · other` (element-wise). Shapes must match.
-    pub fn add_scaled(&mut self, alpha: f32, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "add_scaled: shape mismatch");
-        ops::axpy(alpha, &other.data, &mut self.data);
-    }
-
-    /// Estimates the spectral norm (largest singular value) with `iters`
-    /// rounds of power iteration on `AᵀA`.
-    ///
-    /// MAR uses this to keep each projection matrix contractive
-    /// (`‖φ_k‖₂ ≤ 1`), which together with `‖u‖ ≤ 1` guarantees the paper's
-    /// facet-norm constraint `‖u^k‖ ≤ 1` (Eq. 11).
-    pub fn spectral_norm_est(&self, iters: usize) -> f32 {
-        if self.rows == 0 || self.cols == 0 {
-            return 0.0;
-        }
-        // Deterministic start vector: ones, normalized.
-        let mut v = vec![1.0 / (self.cols as f32).sqrt(); self.cols];
-        let mut av = vec![0.0; self.rows];
-        let mut atav = vec![0.0; self.cols];
-        let mut sigma = 0.0;
-        for _ in 0..iters.max(1) {
-            self.matvec(&v, &mut av);
-            self.matvec_t(&av, &mut atav);
-            let n = ops::norm(&atav);
-            if n <= f32::MIN_POSITIVE {
-                return 0.0;
-            }
-            ops::scale(&mut atav, 1.0 / n);
-            v.copy_from_slice(&atav);
-            self.matvec(&v, &mut av);
-            sigma = ops::norm(&av);
-        }
-        sigma
-    }
-
-    /// Rescales the matrix so its estimated spectral norm is at most
-    /// `max_sigma`. Returns the estimate that was used.
-    pub fn clip_spectral_norm(&mut self, max_sigma: f32, iters: usize) -> f32 {
-        let sigma = self.spectral_norm_est(iters);
-        if sigma > max_sigma && sigma > 0.0 {
-            self.scale(max_sigma / sigma);
-        }
-        sigma
     }
 }
 
@@ -317,36 +273,5 @@ mod tests {
     fn frobenius_norm_value() {
         let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
         assert_eq!(m.frobenius_norm(), 5.0);
-    }
-
-    #[test]
-    fn spectral_norm_of_diagonal() {
-        // diag(3, 1): spectral norm is exactly 3.
-        let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 1.0]);
-        let s = m.spectral_norm_est(30);
-        assert!((s - 3.0).abs() < 1e-3, "estimate {s}");
-    }
-
-    #[test]
-    fn spectral_clip_contracts() {
-        let mut m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 1.0]);
-        m.clip_spectral_norm(1.0, 30);
-        let s = m.spectral_norm_est(30);
-        assert!(s <= 1.0 + 1e-3, "after clipping: {s}");
-    }
-
-    #[test]
-    fn spectral_norm_identity_is_one() {
-        let m = Matrix::identity(4);
-        let s = m.spectral_norm_est(10);
-        assert!((s - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let b = Matrix::identity(2);
-        a.add_scaled(2.0, &b);
-        assert_eq!(a.as_slice(), &[2.0, 0.0, 0.0, 2.0]);
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests for the unified retrieval API over every real scorer
-//! in the workspace: the eight baselines plus MAR (factored) and MARS
-//! (direct), all trained briefly on one planted dataset.
+//! in the workspace: the eight baselines plus MAR and MARS, all trained
+//! briefly on one planted dataset.
 //!
 //! The contract under test is the serving layer's exactness guarantee:
 //! bounded-heap retrieval is **bit-identical** to the full-sort reference
@@ -62,7 +62,6 @@ fn all_models(d: &Dataset) -> Vec<(&'static str, Arc<dyn Scorer + Sync + Send>)>
     mars.epochs = 2;
     out.push(("MARS", Arc::new(Trainer::new(mars).fit(d).model)));
     let mut mar = MarsConfig::mar(2, 8);
-    mar.parameterization = mars_repro::core::FacetParam::Factored;
     mar.epochs = 2;
     out.push(("MAR", Arc::new(Trainer::new(mar).fit(d).model)));
     out
