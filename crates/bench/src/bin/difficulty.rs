@@ -27,6 +27,7 @@ fn main() {
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let edges = args.list_or("edges", &[10usize, 20, 40]);
+    args.reject_unknown();
     let ev = RankingEvaluator::paper();
 
     for (profile, data) in profiles.iter().zip(datasets(&profiles, scale)) {

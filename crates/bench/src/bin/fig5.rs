@@ -26,6 +26,7 @@ fn main() {
     let k = args.get_or("k", 4usize);
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
+    args.reject_unknown();
     let ev = RankingEvaluator::paper();
 
     for data in datasets(&profiles, scale) {

@@ -29,6 +29,7 @@ fn main() {
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
     let out_dir = PathBuf::from(args.get("out").unwrap_or("bench_out"));
+    args.reject_unknown();
     fs::create_dir_all(&out_dir).expect("cannot create output directory");
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;

@@ -24,6 +24,7 @@ fn main() {
     let args = Args::from_env();
     let scale = args.scale();
     let profiles = args.profiles(&Profile::ALL);
+    args.reject_unknown();
 
     let mut rows = Vec::new();
     for p in profiles {

@@ -24,6 +24,7 @@ fn main() {
     let k = args.get_or("k", 4usize);
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
+    args.reject_unknown();
 
     for (profile, data) in profiles.iter().zip(datasets(&profiles, scale)) {
         let d = &data.dataset;

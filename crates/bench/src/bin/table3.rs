@@ -22,6 +22,7 @@ fn main() {
     let seed = args.get_or("seed", 7u64);
     let k = args.get_or("k", 4usize);
     let dims = args.list_or("dims", &[16usize, 32, 64, 128]);
+    args.reject_unknown();
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;
     eprintln!(

@@ -21,6 +21,7 @@ fn main() {
     let top = args.get_or("top", 5usize);
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
+    args.reject_unknown();
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;
     let mut cfg = MarsConfig::mars(k, dim);

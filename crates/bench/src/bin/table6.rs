@@ -22,6 +22,7 @@ fn main() {
     let num_users = args.get_or("users", 2usize);
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
+    args.reject_unknown();
 
     let data = &datasets(&[Profile::Ciao], scale)[0].dataset;
     let mut cfg = MarsConfig::mars(k, dim);

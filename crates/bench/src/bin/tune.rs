@@ -27,6 +27,20 @@ fn main() {
     let plain_rsgd = args.get_or("plain-rsgd", false);
     let lrs = args.list_or("lrs", &[0.05f32, 0.1, 0.2]);
     let epoch_grid = args.list_or("epoch-grid", &[15usize, 30, 60]);
+    // Everything the sweep holds fixed.
+    let mut base = match model_kind {
+        "mar" => MarsConfig::mar(k, dim),
+        "cml" => MarsConfig::cml_like(dim),
+        _ => MarsConfig::mars(k, dim),
+    };
+    if plain_rsgd {
+        base.optimizer = OptimKind::Riemannian;
+    }
+    base.theta_lr = args.get_or("theta-lr", base.theta_lr);
+    base.lambda_pull = args.get_or("lambda-pull", base.lambda_pull);
+    base.lambda_facet = args.get_or("lambda-facet", base.lambda_facet);
+    base.seed = seed;
+    args.reject_unknown();
 
     let dev_eval = RankingEvaluator::new(EvalConfig {
         num_negatives: 100,
@@ -45,20 +59,9 @@ fn main() {
         let mut best: Option<(f32, MarsConfig)> = None;
         for &lr in &lrs {
             for &epochs in &epoch_grid {
-                let mut cfg = match model_kind {
-                    "mar" => MarsConfig::mar(k, dim),
-                    "cml" => MarsConfig::cml_like(dim),
-                    _ => MarsConfig::mars(k, dim),
-                };
-                if plain_rsgd {
-                    cfg.optimizer = OptimKind::Riemannian;
-                }
+                let mut cfg = base.clone();
                 cfg.lr = lr;
-                cfg.theta_lr = args.get_or("theta-lr", cfg.theta_lr);
-                cfg.lambda_pull = args.get_or("lambda-pull", cfg.lambda_pull);
-                cfg.lambda_facet = args.get_or("lambda-facet", cfg.lambda_facet);
                 cfg.epochs = epochs;
-                cfg.seed = seed;
                 let model = Trainer::new(cfg.clone()).fit(d).model;
                 let dev = dev_eval.evaluate_dev(&model, d).ndcg_at(10);
                 eprintln!(

@@ -36,6 +36,8 @@ use mars_data::dataset::Dataset;
 use mars_data::profiles::{Profile, Scale};
 use mars_data::SyntheticDataset;
 use mars_metrics::{RankingEvaluator, Report};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 /// Which model to run — baselines by kind, MAR/MARS by config.
 #[derive(Clone, Debug)]
@@ -279,6 +281,8 @@ fn or_exit<T>(parsed: Result<T, ArgError>) -> T {
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     pairs: Vec<(String, String)>,
+    /// Every key an accessor has been asked for — what the binary knows.
+    known: RefCell<BTreeSet<String>>,
 }
 
 impl Args {
@@ -302,11 +306,15 @@ impl Args {
                 pairs.push((key.to_string(), value));
             }
         }
-        Self { pairs }
+        Self {
+            pairs,
+            known: RefCell::default(),
+        }
     }
 
     /// String value of a flag.
     pub fn get(&self, key: &str) -> Option<&str> {
+        self.known.borrow_mut().insert(key.to_string());
         self.pairs
             .iter()
             .rev()
@@ -384,6 +392,25 @@ impl Args {
         or_exit(self.try_scale())
     }
 
+    /// The first flag on the command line that no accessor has asked for.
+    /// Meaningful once the binary has read every flag it knows.
+    pub fn unknown_flag(&self) -> Option<&str> {
+        let known = self.known.borrow();
+        let unknown = self.pairs.iter().find(|(k, _)| !known.contains(k));
+        unknown.map(|(k, _)| k.as_str())
+    }
+
+    /// Call after reading every flag: a flag nothing asked for (a typo, a
+    /// flag a later version dropped) is reported on stderr and ends the
+    /// process like a bad value does, instead of silently running the
+    /// defaults.
+    pub fn reject_unknown(&self) {
+        if let Some(flag) = self.unknown_flag() {
+            eprintln!("error: unknown flag --{flag}");
+            std::process::exit(2)
+        }
+    }
+
     /// Dataset list (`--datasets ciao,bookx`), default = given fallback.
     pub fn profiles(&self, default: &[Profile]) -> Vec<Profile> {
         match self.get("datasets") {
@@ -437,6 +464,16 @@ mod tests {
         assert_eq!(bad.try_get::<f32>("lr").unwrap_err().expected, "f32");
         // A bare flag reads as "true", which is not a number either.
         assert!(a.try_get::<u64>("verbose").is_err());
+
+        // Every flag above was asked for; a leftover one nothing reads is
+        // named (the first, in command-line order), known or not to others.
+        assert_eq!(a.unknown_flag(), None);
+        let leftover = args(&["--k", "4", "--direct", "true", "--epochz", "3"]);
+        assert_eq!(leftover.unknown_flag(), Some("k"));
+        assert_eq!(leftover.get_or("k", 0usize), 4);
+        assert_eq!(leftover.unknown_flag(), Some("direct"));
+        assert_eq!(leftover.get("missing"), None);
+        assert_eq!(leftover.unknown_flag(), Some("direct"));
     }
 
     #[test]

@@ -352,11 +352,18 @@ pub fn load(cfg: MarsConfig, path: &Path) -> Result<MultiFacetModel, SnapshotErr
     let mut r = BufReader::new(File::open(path)?);
     let mut magic = [0u8; 8];
     read_exact_in(&mut r, &mut magic, Section::Header)?;
-    match &magic {
+    let model = match &magic {
         m if m == MAGIC_V2 => load_v2(cfg, &mut r),
         m if m == MAGIC_V1 => load_v1(cfg, &mut r),
         _ => Err(SnapshotError::BadMagic),
+    }?;
+    // A loaded snapshot is about to be indexed and served: build the
+    // item-norm table here rather than under the first query. (Euclidean
+    // scoring never reads it.)
+    if model.config().geometry == Geometry::Spherical {
+        model.item_norms();
     }
+    Ok(model)
 }
 
 fn load_v2<R: Read>(cfg: MarsConfig, r: &mut R) -> Result<MultiFacetModel, SnapshotError> {

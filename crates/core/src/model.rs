@@ -20,6 +20,30 @@
 //! ([`MultiFacetModel::train_triplet`]) that the batched engine is asserted
 //! equivalent to at batch size 1.
 //!
+//! ### The item-norm table
+//!
+//! Cosine scoring divides by `‖v^k‖`, and an item's facet norms change only
+//! when the parameters do, so [`Scorer::score_block`] and the index surface
+//! ([`IndexEmbeddings::item_index_vector`]) read them from one private
+//! `I × K` table instead of recomputing them per candidate per query. The
+//! contract:
+//!
+//! * it holds exactly `ops::norm` of each item facet row — the value the
+//!   recomputing paths get — so every score is bit-identical with or
+//!   without it;
+//! * it is built on first use (once: concurrent first readers wait for one
+//!   computation), by `io::load` before a spherical snapshot is returned,
+//!   and never for Euclidean geometry; it is carried by `Clone` and never
+//!   serialised;
+//! * it is dropped by [`MultiFacetModel::params_mut`], the only way to a
+//!   `&mut` facet table — the batched engine's `finish_batch`, the
+//!   reference path's `apply_updates` and `io` all go through it. Code in
+//!   this module must do the same and never borrow `self.params` mutably.
+//!
+//! [`Scorer::score`] / [`Scorer::score_many`] do not read the table: they
+//! are the independent reference `score_block` is tested bit-equal to, which
+//! is also what exposes a stale table (`tests/properties.rs`).
+//!
 //! ### Interpretive notes (divergences from the paper's notation)
 //!
 //! 1. **Both frameworks optimise `Ω` directly; the factored form is the
@@ -62,6 +86,8 @@ use mars_serve::{IndexEmbeddings, IndexMetric, RecQuery, RetrievalScratch};
 use mars_tensor::{init, nonlin, ops, rows, Matrix};
 use rand::rngs::StdRng; // audit:allow(determinism) — only ever seeded (init/datagen)
 use rand::SeedableRng;
+use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// The trainable facet embeddings (the set `Ω` of Eq. 19; see module docs).
 #[derive(Clone, Debug)]
@@ -89,6 +115,10 @@ pub struct MultiFacetModel {
     params: Params,
     /// Free logits behind the softmaxed per-user facet weights `Θ_u`.
     theta_logits: EmbeddingTable,
+    /// `‖v^k‖` of every item facet row (`I × K`), built on first use and
+    /// dropped by [`MultiFacetModel::params_mut`] — see "The item-norm
+    /// table" in the module docs.
+    item_norms: OnceLock<Vec<f32>>,
 }
 
 impl MultiFacetModel {
@@ -162,6 +192,7 @@ impl MultiFacetModel {
                 item_facets,
             },
             theta_logits,
+            item_norms: OnceLock::new(),
         }
     }
 
@@ -183,9 +214,22 @@ impl MultiFacetModel {
         &self.params
     }
 
-    /// Mutable borrow of the parameters (for persistence round-trips).
+    /// Mutable borrow of the parameters (training steps and persistence
+    /// round-trips). The only way to a `&mut` facet table, and therefore
+    /// where the item-norm table is dropped.
     pub fn params_mut(&mut self) -> &mut Params {
+        self.item_norms.take();
         &mut self.params
+    }
+
+    /// The item-norm table: `ops::norm` of item `v`'s facet `f` at
+    /// `[v * K + f]`, computed on the first call after the parameters last
+    /// changed (concurrent first callers block on one computation).
+    pub(crate) fn item_norms(&self) -> &[f32] {
+        self.item_norms.get_or_init(|| {
+            let rows = self.params.item_facets.as_slice();
+            rows.chunks_exact(self.cfg.dim).map(ops::norm).collect()
+        })
     }
 
     /// Raw Θ logits table.
@@ -360,7 +404,7 @@ impl MultiFacetModel {
         let Params {
             user_facets,
             item_facets,
-        } = &mut self.params;
+        } = self.params_mut();
         let step = |param: &mut [f32], grad: &[f32]| match (optimizer, geometry) {
             (OptimKind::Sgd, Geometry::Euclidean) => {
                 Sgd::with_max_norm(lr, 1.0).step(param, grad);
@@ -546,59 +590,79 @@ impl Scorer for MultiFacetModel {
         } = &self.params;
         let k = self.cfg.facets;
         let d = self.cfg.dim;
-        let theta = self.theta(user);
         let ub = user_facets.entity(user as usize);
-        let mut sims = vec![0.0; k];
         out.clear();
         out.reserve(items.len());
-        match self.cfg.geometry {
-            Geometry::Spherical => {
-                // `ops::cosine` recomputes ‖u^k‖ per candidate;
-                // across a 101-candidate block the user-side norms
-                // are loop-invariant, so hoist them. Same ops on
-                // the same inputs (norm, dot, the zero guard, the
-                // clamp) ⇒ the per-facet values stay bit-identical
-                // to `facet_similarity`.
-                let mut na = vec![0.0; k];
-                for (f, n) in na.iter_mut().enumerate() {
-                    *n = ops::norm(rows::row(ub, d, f));
-                }
-                for &v in items {
-                    let vb = item_facets.entity(v as usize);
-                    rows::dot_rows(ub, vb, d, &mut sims);
-                    let mut sum = 0.0;
-                    for f in 0..k {
-                        let nb = ops::norm(rows::row(vb, d, f));
-                        let sim = if na[f] <= f32::MIN_POSITIVE || nb <= f32::MIN_POSITIVE {
-                            0.0
-                        } else {
-                            (sims[f] / (na[f] * nb)).clamp(-1.0, 1.0)
-                        };
-                        sum += theta[f] * sim;
+        with_score_scratch(k, |theta, sims, na| {
+            nonlin::softmax(self.theta_logits.row(user as usize), theta);
+            match self.cfg.geometry {
+                Geometry::Spherical => {
+                    // `ops::cosine` recomputes both norms per candidate.
+                    // The user-side norms are loop-invariant across the
+                    // block and the item-side ones across every block
+                    // until the parameters change, so the former are
+                    // hoisted and the latter read from the item-norm
+                    // table. Same ops on the same inputs (norm, dot, the
+                    // zero guard, the clamp) ⇒ the per-facet values stay
+                    // bit-identical to `facet_similarity`.
+                    let norms = self.item_norms();
+                    for (f, n) in na.iter_mut().enumerate() {
+                        *n = ops::norm(rows::row(ub, d, f));
                     }
-                    out.push(sum);
+                    for &v in items {
+                        let vb = item_facets.entity(v as usize);
+                        let nb = rows::row(norms, k, v as usize);
+                        rows::dot_rows(ub, vb, d, sims);
+                        let mut sum = 0.0;
+                        for f in 0..k {
+                            let sim = if na[f] <= f32::MIN_POSITIVE || nb[f] <= f32::MIN_POSITIVE {
+                                0.0
+                            } else {
+                                (sims[f] / (na[f] * nb[f])).clamp(-1.0, 1.0)
+                            };
+                            sum += theta[f] * sim;
+                        }
+                        out.push(sum);
+                    }
+                }
+                Geometry::Euclidean => {
+                    for &v in items {
+                        rows::dist_sq_rows(ub, item_facets.entity(v as usize), d, sims);
+                        let mut sum = 0.0;
+                        for f in 0..k {
+                            sum += theta[f] * -sims[f];
+                        }
+                        out.push(sum);
+                    }
                 }
             }
-            Geometry::Euclidean => {
-                for &v in items {
-                    rows::dist_sq_rows(ub, item_facets.entity(v as usize), d, &mut sims);
-                    let mut sum = 0.0;
-                    for f in 0..k {
-                        sum += theta[f] * -sims[f];
-                    }
-                    out.push(sum);
-                }
-            }
-        }
+        });
     }
 }
 
+/// Runs `f` with three `k`-wide thread-local buffers — `score_block`'s
+/// `Θ_u`, per-facet similarities and user-side norms — so the hot path
+/// allocates nothing per block (evaluation and serving workers are
+/// persistent threads, so the buffers amortize across a whole run).
+fn with_score_scratch<R>(k: usize, f: impl FnOnce(&mut [f32], &mut [f32], &mut [f32]) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with(|s| {
+        let mut s = s.borrow_mut();
+        s.resize(3 * k, 0.0);
+        let (theta, rest) = s.split_at_mut(k);
+        let (sims, na) = rest.split_at_mut(k);
+        f(theta, sims, na)
+    })
+}
+
 impl MultiFacetModel {
-    /// Scales `v` to unit length, or zeroes it when the norm underflows —
-    /// the same guard `facet_similarity`'s cosine applies, so a degenerate
-    /// facet contributes 0 on both the exact and the indexed path.
-    fn normalize_or_zero(v: &mut [f32]) {
-        let n = ops::norm(v);
+    /// Scales `v`, whose norm is `n`, to unit length, or zeroes it when the
+    /// norm underflows — the same guard `facet_similarity`'s cosine applies,
+    /// so a degenerate facet contributes 0 on both the exact and the indexed
+    /// path.
+    fn normalize_or_zero(v: &mut [f32], n: f32) {
         if n <= f32::MIN_POSITIVE {
             v.fill(0.0);
         } else {
@@ -632,14 +696,16 @@ impl IndexEmbeddings for MultiFacetModel {
     fn item_index_vector(&self, v: ItemId, f: usize, out: &mut [f32]) {
         self.item_facet(v, f, out);
         if self.cfg.geometry == Geometry::Spherical {
-            Self::normalize_or_zero(out);
+            let n = self.item_norms()[v as usize * self.cfg.facets + f];
+            Self::normalize_or_zero(out, n);
         }
     }
 
     fn query_index_vector(&self, user: UserId, f: usize, out: &mut [f32]) -> f32 {
         self.user_facet(user, f, out);
         if self.cfg.geometry == Geometry::Spherical {
-            Self::normalize_or_zero(out);
+            let n = ops::norm(out);
+            Self::normalize_or_zero(out, n);
         }
         self.theta(user)[f]
     }
@@ -814,6 +880,103 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn item_norm_table_is_built_once_and_dropped_by_params_mut() {
+        use mars_data::{SyntheticConfig, SyntheticDataset};
+        use mars_metrics::{EvalConfig, RankingEvaluator};
+        use mars_runtime::WorkerPool;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+
+        /// Scores through the model and records which thread saw which
+        /// table after each block.
+        struct Probe<'a> {
+            model: &'a MultiFacetModel,
+            sightings: Mutex<Vec<(ThreadId, usize)>>,
+        }
+        impl Scorer for Probe<'_> {
+            fn score(&self, user: UserId, item: ItemId) -> f32 {
+                self.model.score(user, item)
+            }
+            fn score_block(&self, user: UserId, items: &[ItemId], out: &mut Vec<f32>) {
+                self.model.score_block(user, items, out);
+                let table = self.model.item_norms.get().expect("score_block builds it");
+                let sighting = (std::thread::current().id(), table.as_ptr() as usize);
+                self.sightings.lock().unwrap().push(sighting);
+            }
+        }
+
+        let data = SyntheticDataset::generate(
+            "norm-table",
+            &SyntheticConfig {
+                num_users: 40,
+                num_items: 30,
+                num_interactions: 600,
+                num_categories: 3,
+                seed: 3,
+                ..Default::default()
+            },
+        )
+        .dataset;
+        let mut m = MultiFacetModel::new(MarsConfig::mars(3, 6), 40, 30);
+        assert!(m.item_norms.get().is_none(), "lazy: nothing built yet");
+
+        // The workers of one evaluation race to the first `score_block`;
+        // all of them must end up reading one table.
+        let probe = Probe {
+            model: &m,
+            sightings: Mutex::new(Vec::new()),
+        };
+        let evaluator = RankingEvaluator::new(EvalConfig {
+            num_negatives: 10,
+            cutoffs: vec![5],
+            seed: 1,
+            threads: 3,
+        });
+        let report = evaluator.evaluate_pairs_on(&probe, &data, &data.test, &WorkerPool::new(3));
+        assert!(report.cases > 0);
+        let sightings = probe.sightings.into_inner().unwrap();
+        let (first_thread, table) = sightings[0];
+        assert!(
+            sightings.iter().any(|&(thread, _)| thread != first_thread),
+            "one worker proves nothing"
+        );
+        assert!(
+            sightings.iter().all(|&(_, seen)| seen == table),
+            "the table was rebuilt or duplicated"
+        );
+
+        // Later calls keep reading it; its values are `ops::norm` of the rows.
+        m.score_block(0, &[1, 2, 3], &mut Vec::new());
+        assert_eq!(m.item_norms().as_ptr() as usize, table);
+        let mut row = vec![0.0; 6];
+        m.item_facet(7, 2, &mut row);
+        assert_eq!(
+            m.item_norms()[7 * 3 + 2].to_bits(),
+            ops::norm(&row).to_bits()
+        );
+
+        // A clone carries the table; handing out `&mut Params` drops it.
+        let cloned = m.clone();
+        assert_eq!(cloned.item_norms.get(), m.item_norms.get());
+        m.params_mut();
+        assert!(m.item_norms.get().is_none());
+        assert!(cloned.item_norms.get().is_some());
+
+        // A loaded snapshot arrives with the table built; Euclidean scoring
+        // never builds one, loaded or not.
+        let path = std::env::temp_dir().join(format!("mars-norm-table-{}", std::process::id()));
+        for (model, expect_table) in [(cloned, true), (mar_model(), false)] {
+            crate::io::save(&model, &path).unwrap();
+            let loaded = crate::io::load(model.config().clone(), &path).unwrap();
+            assert_eq!(loaded.item_norms.get().is_some(), expect_table);
+            assert_eq!(loaded.item_norms.get(), model.item_norms.get());
+            loaded.score_block(0, &[1, 2, 3], &mut Vec::new());
+            assert_eq!(loaded.item_norms.get().is_some(), expect_table);
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,40 +1,53 @@
-//! The batched engine's steady state allocates nothing.
+//! The batched engine's and the scoring path's steady states allocate
+//! nothing.
 //!
 //! Every buffer a mini-batch needs lives in the [`Scratch`] and the
 //! [`BatchAccum`] and is reused: the accumulators' direct index grows to the
 //! largest entity number, their block storage to the most entities one batch
 //! ever touched, and from then on `train_batch` must not reach the heap —
-//! no per-user `Vec`, no hash-table growth, no temporary per row. This file
-//! installs a counting global allocator (its own test binary, so the counter
-//! sees nothing else) and holds the engine to that.
+//! no per-user `Vec`, no hash-table growth, no temporary per row. Likewise
+//! `score_block` (thread-local scratch, the model's item-norm table) and
+//! `rank_into` with a warm `RetrievalScratch`. This file installs a counting
+//! global allocator (its own test binary, so the counter sees nothing else)
+//! and holds both to that.
 
 use mars_core::{BatchAccum, MarsConfig, MultiFacetModel, Scratch};
 use mars_data::batch::Triplet;
+use mars_data::ItemId;
+use mars_metrics::Scorer;
+use mars_serve::{rank_into, RecQuery, RetrievalScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Set on the measuring thread only, so the test harness's own threads
-    /// cannot disturb the count.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Allocations made by this thread while it is measuring (`None`
+    /// otherwise): per thread, so neither the test harness's own threads nor
+    /// the other test in this binary can disturb a count.
+    static ALLOCATIONS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|a| a.set(a.get().map(|n| n + 1)));
+}
+
+/// Allocations (and reallocations) `f` performs on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    ALLOCATIONS.with(|a| a.set(Some(0)));
+    f();
+    ALLOCATIONS
+        .with(|a| a.replace(None))
+        .expect("set to Some above")
 }
 
 struct CountingAllocator;
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's; the only extra
-// work is a relaxed counter bump and a read of a `const`-initialized,
-// destructor-free thread-local, neither of which allocates.
+// work is a read and a write of a `const`-initialized, destructor-free
+// thread-local, neither of which allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            // ORDERING: relaxed — a statistic read after the measured
-            // section on the same thread; it publishes nothing.
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         // SAFETY: same contract as ours, forwarded verbatim.
         unsafe { System.alloc(layout) }
     }
@@ -47,10 +60,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: (trait signature) same forwarding argument as `dealloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.with(Cell::get) {
-            // ORDERING: relaxed — see `alloc`.
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count_one();
         // SAFETY: same contract as ours, forwarded verbatim.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -101,13 +111,11 @@ fn steady_state_train_batch_does_not_allocate() {
         let steady: Vec<_> = (1..6).map(|b| batch(b, 30)).collect();
         model.train_batch(&warm_up, 0.05, &mut scratch, &mut acc);
 
-        COUNTING.with(|c| c.set(true));
-        for b in &steady {
-            model.train_batch(b, 0.05, &mut scratch, &mut acc);
-        }
-        COUNTING.with(|c| c.set(false));
-        // ORDERING: relaxed — same-thread read of the statistic.
-        let allocations = ALLOCATIONS.swap(0, Ordering::Relaxed);
+        let allocations = allocations_in(|| {
+            for b in &steady {
+                model.train_batch(b, 0.05, &mut scratch, &mut acc);
+            }
+        });
         assert_eq!(
             allocations,
             0,
@@ -115,5 +123,50 @@ fn steady_state_train_batch_does_not_allocate() {
             cfg.tag()
         );
         assert!(model.norm_report().finite);
+    }
+}
+
+#[test]
+fn steady_state_scoring_and_ranking_do_not_allocate() {
+    for cfg in [MarsConfig::mars(3, 8), MarsConfig::mar(3, 8)] {
+        let model = MultiFacetModel::new(cfg.clone(), USERS as usize, ITEMS as usize);
+        let items: Vec<ItemId> = (0..ITEMS).collect();
+        let seen = [3, 4, 50, ITEMS - 1];
+        let query = |user| RecQuery::top_k(user, 10).excluding(&seen);
+        let mut scores = Vec::new();
+        let mut scratch = RetrievalScratch::new();
+        let mut ranked = Vec::new();
+        // One call of each sizes the caller's buffers, this thread's
+        // scoring scratch and (MARS) the model's item-norm table.
+        model.score_block(0, &items, &mut scores);
+        rank_into(
+            &model,
+            items.len(),
+            32,
+            &query(0),
+            &mut scratch,
+            &mut ranked,
+        );
+
+        let score_block = allocations_in(|| {
+            for user in 0..USERS {
+                model.score_block(user, &items, &mut scores);
+            }
+        });
+        assert_eq!(score_block, 0, "{}: score_block allocated", cfg.tag());
+        let ranking = allocations_in(|| {
+            for user in 0..USERS {
+                rank_into(
+                    &model,
+                    items.len(),
+                    32,
+                    &query(user),
+                    &mut scratch,
+                    &mut ranked,
+                );
+            }
+        });
+        assert_eq!(ranking, 0, "{}: rank_into allocated", cfg.tag());
+        assert_eq!(ranked.len(), 10);
     }
 }

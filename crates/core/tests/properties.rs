@@ -1,7 +1,9 @@
 //! Property-based tests for the MAR / MARS model invariants.
 
-use mars_core::{MarsConfig, MultiFacetModel, Scratch};
+use mars_core::{io, BatchAccum, MarsConfig, MultiFacetModel, Scratch};
 use mars_data::batch::Triplet;
+use mars_data::ItemId;
+use mars_metrics::Scorer;
 use proptest::prelude::*;
 
 fn triplet_strategy(users: u32, items: u32) -> impl Strategy<Value = Triplet> {
@@ -12,8 +14,88 @@ fn triplet_strategy(users: u32, items: u32) -> impl Strategy<Value = Triplet> {
     })
 }
 
+/// `score_block` against the two paths that recompute every norm, on
+/// every (user, item) pair, to the bit; `when` labels a failure.
+fn block_scores_match_the_references(
+    model: &MultiFacetModel,
+    when: &str,
+) -> Result<(), TestCaseError> {
+    // Descending, so table row and block position never coincide.
+    let items: Vec<ItemId> = (0..model.num_items() as ItemId).rev().collect();
+    let (mut block, mut many) = (Vec::new(), Vec::new());
+    for u in 0..model.num_users() as u32 {
+        model.score_block(u, &items, &mut block);
+        model.score_many(u, &items, &mut many);
+        for (i, &v) in items.iter().enumerate() {
+            let single = model.score(u, v);
+            if block[i].to_bits() != many[i].to_bits() || block[i].to_bits() != single.to_bits() {
+                return Err(TestCaseError(format!(
+                    "{when}: user {u} item {v}: score_block {} score_many {} score {single}",
+                    block[i], many[i]
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `score_block` reads item norms from a table the model caches; every
+    /// way the parameters can change — a batched step, a reference step, a
+    /// raw write through `params_mut()` — and every way a model comes into
+    /// being from another — `clone()`, `io::save` → `io::load` — must leave
+    /// it agreeing bitwise with `score_many` and `score`, which cache
+    /// nothing. (The check after each step also rebuilds the table, so the
+    /// next step starts from a warm one.)
+    #[test]
+    fn cached_item_norms_never_go_stale(
+        steps in proptest::collection::vec((0u8..5, triplet_strategy(6, 8)), 1..40),
+        spherical in 0u8..2,
+        seed in 0u64..50,
+    ) {
+        let mut cfg = if spherical == 1 { MarsConfig::mars(3, 6) } else { MarsConfig::mar(3, 6) };
+        cfg.seed = seed;
+        let mut model = MultiFacetModel::new(cfg.clone(), 6, 8);
+        let mut s = Scratch::new(3, 6);
+        let mut acc = BatchAccum::new(&cfg);
+        let path = std::env::temp_dir().join(format!("mars-norm-table-{}", std::process::id()));
+        block_scores_match_the_references(&model, "fresh")?;
+        for (op, t) in steps {
+            match op {
+                0 => {
+                    model.train_batch(&[(t, 0.5)], 0.2, &mut s, &mut acc);
+                }
+                1 => {
+                    model.train_triplet(t, 0.5, 0.2, &mut s);
+                }
+                2 => {
+                    // Off the sphere — a stale norm is then wrong by a factor
+                    // of two, not by an ulp — and exactly back, since the
+                    // optimizers expect to start on it.
+                    for factor in [0.5, 2.0] {
+                        let facets = &mut model.params_mut().item_facets;
+                        for x in facets.facet_mut(t.positive as usize, t.user as usize % 3) {
+                            *x *= factor;
+                        }
+                        block_scores_match_the_references(&model, "raw write")?;
+                    }
+                }
+                3 => {
+                    let snapshot = model.clone();
+                    model.train_triplet(t, 0.5, 0.2, &mut s);
+                    block_scores_match_the_references(&snapshot, "clone, original stepped")?;
+                }
+                _ => {
+                    io::save(&model, &path).unwrap();
+                    model = io::load(cfg.clone(), &path).unwrap();
+                }
+            }
+            block_scores_match_the_references(&model, &format!("after op {op}"))?;
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
     /// MARS: every facet embedding stays exactly on the unit sphere no
     /// matter what triplets (including degenerate positive == negative)
@@ -78,7 +160,6 @@ proptest! {
         triplets in proptest::collection::vec(triplet_strategy(5, 7), 0..40),
         seed in 0u64..50,
     ) {
-        use mars_metrics::Scorer;
         let mut cfg = MarsConfig::mars(3, 5);
         cfg.seed = seed;
         let mut model = MultiFacetModel::new(cfg, 5, 7);

@@ -28,7 +28,9 @@ use mars_data::{ItemId, UserId};
 /// **Bitwise-agreement contract:** all three scoring entry points must
 /// produce bit-identical values for the same `(user, item)` — `score`,
 /// `score_many`, and `score_block` may reorganize the computation (hoist
-/// loop-invariant work, fuse kernels) but not its float semantics. The
+/// loop-invariant work, fuse kernels, read values that depend only on the
+/// parameters — MARS's item-facet norms — from a table the model keeps
+/// current) but not its float semantics. The
 /// batched evaluation engine is asserted bit-identical to the sequential
 /// protocol, and the two paths mix entry points freely (sequential scores
 /// the held-out item via `score` and the negatives via `score_many`;

@@ -120,6 +120,13 @@ type PairOutcome = Option<(usize, usize)>;
 
 /// One worker's slice of the evaluation: which pair indices it owns and the
 /// outcomes it produced (positionally aligned with that range).
+///
+/// Aligned so that no two workers' shards share a cache line (or the
+/// adjacent line the prefetcher pairs with it): every `push` writes the
+/// `Vec`'s length inside this struct, and two 40-byte shards packed side by
+/// side made the workers trade that line back and forth — at a cost that
+/// depended on where the allocator happened to put the shard array.
+#[repr(align(128))]
 struct EvalShard {
     range: std::ops::Range<usize>,
     out: Vec<PairOutcome>,
@@ -201,7 +208,7 @@ impl RankingEvaluator {
                 }
                 // One fused call over the user's full candidate block —
                 // held-out item first, then its negatives — so the per-user
-                // scoring setup (Θ softmax, facet gather, norms) is paid
+                // scoring setup (Θ softmax, the user's facet norms) is paid
                 // once per 101 candidates.
                 block.clear();
                 block.push(h.item);
@@ -371,6 +378,9 @@ impl RankingEvaluator {
 
         /// One worker's slice of the pre-draw: its pair range, the drawn
         /// items (concatenated in pair order) and one length per pair.
+        /// Aligned like `EvalShard`, and for the same reason — here the
+        /// length is written once per drawn item.
+        #[repr(align(128))]
         struct DrawShard {
             range: std::ops::Range<usize>,
             items: Vec<ItemId>,

@@ -10,9 +10,9 @@ use mars_runtime::{chunk_ranges, WorkerPool};
 use std::sync::Arc;
 
 /// Default scan-chunk size. Large enough to amortize the per-call user
-/// setup a [`Scorer::score_block`] override hoists (Θ softmax, facet
-/// gather, norms), small enough that a chunk's ids + scores stay cache
-/// resident. Any value produces bit-identical results (see the crate
+/// setup a [`Scorer::score_block`] override hoists (Θ softmax, the user's
+/// facet norms — nothing on the item side is per call), small enough that a
+/// chunk's ids + scores stay cache resident. Any value produces bit-identical results (see the crate
 /// docs); this only tunes throughput.
 pub const DEFAULT_CHUNK_ITEMS: usize = 256;
 
@@ -85,15 +85,24 @@ pub fn rank_into<S: Scorer + ?Sized>(
     };
 
     match query.candidates {
-        // Catalogue scan: contiguous id ranges, seen-filtered.
+        // Catalogue scan: contiguous id ranges, seen-filtered. The ids
+        // ascend and `seen` is sorted, so one cursor walks `seen` beside
+        // them instead of searching it once per id.
         None => {
+            let seen = query.seen;
+            let mut cursor = 0usize;
             let mut start = 0usize;
             while start < catalog_items {
                 let end = (start + chunk).min(catalog_items);
                 scratch.ids.clear();
                 scratch
                     .ids
-                    .extend((start as ItemId..end as ItemId).filter(|&v| survives(v)));
+                    .extend((start as ItemId..end as ItemId).filter(|&v| {
+                        while cursor < seen.len() && seen[cursor] < v {
+                            cursor += 1;
+                        }
+                        seen.get(cursor) != Some(&v)
+                    }));
                 score_chunk(&scratch.ids, &mut scratch.scores, &mut scratch.heap);
                 start = end;
             }

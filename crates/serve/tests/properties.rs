@@ -99,6 +99,52 @@ proptest! {
         }
     }
 
+    /// The catalogue scan filters `seen` with a cursor that walks the
+    /// sorted list beside the ascending ids; the reference searches it once
+    /// per id. Same survivors whatever the list holds — duplicates, ids past
+    /// the catalogue, every id, none, runs straddling chunk boundaries — at
+    /// every chunk size (1, odd, the default, beyond the catalogue) and k
+    /// (0, 1, 10, beyond the survivors).
+    #[test]
+    fn seen_cursor_is_bit_identical_to_full_sort(
+        catalog in 1usize..300,
+        drawn in proptest::collection::vec(0u32..330, 0..120),
+        user in 0u32..5,
+    ) {
+        let mut drawn = drawn;
+        drawn.sort_unstable();
+        let every: Vec<ItemId> = (0..catalog as ItemId).collect();
+        for chunk in [1usize, 7, 256, catalog + 5] {
+            // Four ids around each chunk boundary; runs overlap (and so
+            // repeat ids) when chunks are shorter than a run.
+            let mut straddling: Vec<ItemId> = (1..=catalog / chunk)
+                .flat_map(|b| (b * chunk).saturating_sub(2)..b * chunk + 2)
+                .map(|v| v as ItemId)
+                .collect();
+            straddling.sort_unstable();
+            for (shape, seen) in [
+                ("drawn", &drawn),
+                ("every id", &every),
+                ("none", &Vec::new()),
+                ("straddling", &straddling),
+            ] {
+                for (name, scorer) in scorers() {
+                    let r = Retriever::from_arc(scorer, catalog).with_chunk_items(chunk);
+                    for k in [0usize, 1, 10, catalog + 13] {
+                        let q = RecQuery::top_k(user, k).excluding(seen);
+                        let got = r.retrieve(&q);
+                        let expect = full_sort_top_k(r.model().as_ref(), catalog, &q);
+                        prop_assert!(
+                            bits(&got.ranked) == bits(&expect),
+                            "{} diverged: seen {} catalog {} chunk {} k {}",
+                            name, shape, catalog, chunk, k
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Candidate-restricted retrieval ≡ full sort over the same
     /// shortlist, including duplicates and seen overlap.
     #[test]
