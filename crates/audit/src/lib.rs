@@ -46,6 +46,17 @@
 //!   the publish/consume discipline (`Release` publish, `Acquire` read) for
 //!   `SnapshotCell` and the one-shot slots; an unexplained `Relaxed` is
 //!   either a latent reorder bug or missing documentation — both fail.
+//! - **`orphan-pub`** — every `pub` item in `crates/*/src` has a real
+//!   caller. The only rule that needs the whole tree: one pass indexes
+//!   every identifier in code, then reports each `pub fn`/`struct`/`enum`/
+//!   `trait`/`type`/`const`/`static` whose name appears nowhere but in
+//!   definitions, `pub use` re-exports, `#[cfg(test)]` items, `tests/`
+//!   trees and comments or strings (which the lexer already drops).
+//!   `examples/`, `crates/bench/src/bin` and `marsbench/src` are ordinary
+//!   code and count as callers. Name-based, so it under-reports on common
+//!   names. Dead forks used to be found by grepping by hand; this finds
+//!   them mechanically, and its pragmas are the checked list of items kept
+//!   public on purpose (reference twins, test support).
 //!
 //! # Suppression
 //!
@@ -75,6 +86,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::HashSet;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -88,15 +100,17 @@ pub enum Rule {
     Determinism,
     LemireOnly,
     RelaxedOrdering,
+    OrphanPub,
 }
 
 /// All rules, in reporting order.
-pub const ALL_RULES: [Rule; 5] = [
+pub const ALL_RULES: [Rule; 6] = [
     Rule::UnsafeSafety,
     Rule::NanOrdering,
     Rule::Determinism,
     Rule::LemireOnly,
     Rule::RelaxedOrdering,
+    Rule::OrphanPub,
 ];
 
 impl Rule {
@@ -108,6 +122,7 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::LemireOnly => "lemire-only",
             Rule::RelaxedOrdering => "relaxed-ordering",
+            Rule::OrphanPub => "orphan-pub",
         }
     }
 
@@ -129,6 +144,10 @@ impl Rule {
             Rule::LemireOnly => "range reduction of RNG words uses lemire_map, never % (PR 9)",
             Rule::RelaxedOrdering => {
                 "every Ordering::Relaxed carries an // ORDERING: justification"
+            }
+            Rule::OrphanPub => {
+                "every pub item in crates/*/src is named by code outside \
+                 tests, re-exports and comments"
             }
         }
     }
@@ -388,6 +407,55 @@ fn is_fn_pointer_type(code: &str, unsafe_pos: usize) -> bool {
     false
 }
 
+/// Pragmas: `audit:allow(rule)` in a comment suppresses that rule on the
+/// pragma's line and the line directly below it.
+fn pragmas(lines: &[LineInfo]) -> Vec<Vec<Rule>> {
+    let mut allowed = vec![Vec::new(); lines.len()];
+    for (idx, li) in lines.iter().enumerate() {
+        let mut rest = li.comment.as_str();
+        while let Some(pos) = rest.find("audit:allow(") {
+            rest = &rest[pos + "audit:allow(".len()..];
+            let Some(close) = rest.find(')') else { break };
+            if let Some(rule) = Rule::from_name(rest[..close].trim()) {
+                allowed[idx].push(rule);
+            }
+            rest = &rest[close + 1..];
+        }
+    }
+    allowed
+}
+
+fn allows(allowed: &[Vec<Rule>], idx: usize, rule: Rule) -> bool {
+    allowed[idx].contains(&rule) || (idx > 0 && allowed[idx - 1].contains(&rule))
+}
+
+/// Per line: inside an item gated by `#[cfg(test)]`, from the attribute to
+/// the item's closing brace (or its `;` when it has no body).
+fn cfg_test_lines(lines: &[LineInfo]) -> Vec<bool> {
+    let mut out = vec![false; lines.len()];
+    let (mut gated, mut opened, mut depth) = (false, false, 0i32);
+    for (idx, li) in lines.iter().enumerate() {
+        if !gated && li.code.contains("#[cfg(test)]") {
+            (gated, opened, depth) = (true, false, 0);
+        }
+        if !gated {
+            continue;
+        }
+        out[idx] = true;
+        for c in li.code.chars() {
+            match c {
+                '{' => (depth, opened) = (depth + 1, true),
+                '(' | '[' => depth += 1,
+                ')' | ']' | '}' => depth -= 1,
+                ';' if depth == 0 => opened = true,
+                _ => {}
+            }
+        }
+        gated = !(opened && depth == 0);
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Scanner
 // ---------------------------------------------------------------------------
@@ -397,27 +465,8 @@ fn is_fn_pointer_type(code: &str, unsafe_pos: usize) -> bool {
 pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let lines = lex_lines(source);
     let n = lines.len();
-
-    // Pragmas: `audit:allow(rule)` in a comment suppresses that rule on the
-    // pragma's line and the line directly below it.
-    let mut allowed: Vec<Vec<Rule>> = vec![Vec::new(); n];
-    for (idx, li) in lines.iter().enumerate() {
-        let mut rest = li.comment.as_str();
-        while let Some(pos) = rest.find("audit:allow(") {
-            rest = &rest[pos + "audit:allow(".len()..];
-            if let Some(close) = rest.find(')') {
-                if let Some(rule) = Rule::from_name(rest[..close].trim()) {
-                    allowed[idx].push(rule);
-                }
-                rest = &rest[close + 1..];
-            } else {
-                break;
-            }
-        }
-    }
-    let is_allowed = |idx: usize, rule: Rule| -> bool {
-        allowed[idx].contains(&rule) || (idx > 0 && allowed[idx - 1].contains(&rule))
-    };
+    let allowed = pragmas(&lines);
+    let is_allowed = |idx: usize, rule: Rule| allows(&allowed, idx, rule);
 
     // Paragraph coverage for SAFETY/ORDERING annotations: a marker covers
     // every following line until the next blank line.
@@ -458,15 +507,12 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
         });
     };
 
-    // Determinism exempts trailing `#[cfg(test)]` modules: property tests
-    // compare against StdRng reference streams by design.
-    let mut in_cfg_test_tail = false;
+    // Determinism exempts `#[cfg(test)]` items: property tests compare
+    // against StdRng reference streams by design.
+    let test_only = cfg_test_lines(&lines);
 
     for idx in 0..n {
         let code = lines[idx].code.as_str();
-        if code.contains("#[cfg(test)]") {
-            in_cfg_test_tail = true;
-        }
 
         // unsafe-safety
         if let Some(pos) = find_word(code, "unsafe") {
@@ -505,7 +551,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
         }
 
         // determinism
-        if deterministic && !in_cfg_test_tail {
+        if deterministic && !test_only[idx] {
             for tok in DETERMINISM_TOKENS {
                 if find_word(code, tok.split("::").next().unwrap()).is_some()
                     && code.contains(tok)
@@ -555,6 +601,89 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
+// orphan-pub: the one rule that reads the whole tree before it can report
+// ---------------------------------------------------------------------------
+
+/// Item keywords: the identifier after one is a definition, not a use.
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+fn idents(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|t| t.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+}
+
+/// `(kind, name)` of a `pub` item declared on this code line.
+fn pub_item(code: &str) -> Option<(&str, &str)> {
+    let mut toks = idents(code.trim_start().strip_prefix("pub ")?);
+    let mut kind = toks.next()?;
+    while matches!(kind, "const" | "unsafe") {
+        let next = toks.next()?;
+        if kind == "const" && !matches!(next, "fn" | "unsafe") {
+            return Some((kind, next));
+        }
+        kind = next;
+    }
+    if !ITEM_KEYWORDS.contains(&kind) {
+        return None;
+    }
+    Some((kind, toks.next()?))
+}
+
+/// Reports every `pub` item in `crates/*/src` that no code names outside
+/// definitions, `pub use` re-exports, `#[cfg(test)]` items and `tests/`
+/// trees. `files` holds `(workspace-relative path, source)` pairs.
+pub fn orphan_pub(files: &[(String, String)]) -> Vec<Finding> {
+    let mut used = HashSet::new();
+    let mut items = Vec::new();
+    for (rel, source) in files {
+        if rel.starts_with("tests/") || rel.contains("/tests/") {
+            continue;
+        }
+        let lines = lex_lines(source);
+        let test_only = cfg_test_lines(&lines);
+        let allowed = pragmas(&lines);
+        let subject = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split_once('/'))
+            .is_some_and(|(_, r)| r.starts_with("src/"));
+        let mut in_pub_use = false;
+        for (idx, li) in lines.iter().enumerate() {
+            in_pub_use |= li.code.trim_start().starts_with("pub use ");
+            if test_only[idx] || in_pub_use {
+                in_pub_use &= !li.code.contains(';');
+                continue;
+            }
+            let mut prev = "";
+            for tok in idents(&li.code) {
+                if !ITEM_KEYWORDS.contains(&prev) && !used.contains(tok) {
+                    used.insert(tok.to_string());
+                }
+                prev = tok;
+            }
+            if let Some((kind, name)) = pub_item(&li.code) {
+                if subject && !allows(&allowed, idx, Rule::OrphanPub) {
+                    items.push((rel, idx, kind.to_string(), name.to_string()));
+                }
+            }
+        }
+    }
+    items
+        .into_iter()
+        .filter(|(.., name)| !used.contains(name))
+        .map(|(rel, idx, kind, name)| Finding {
+            file: rel.clone(),
+            line: idx + 1,
+            rule: Rule::OrphanPub,
+            message: format!(
+                "`pub {kind} {name}` is named only by its definition, \
+                 re-exports, tests or comments — delete it, or say why it \
+                 stays with `audit:allow(orphan-pub)`"
+            ),
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
 // Workspace walk
 // ---------------------------------------------------------------------------
 
@@ -589,15 +718,18 @@ pub fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// Scan the whole workspace rooted at `root`. Findings are sorted by
 /// `(file, line)` for stable output.
 pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
+    let mut files = Vec::new();
     for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let source = fs::read_to_string(&path)?;
-        findings.extend(scan_source(&rel, &source));
+        files.push((rel, fs::read_to_string(&path)?));
+    }
+    let mut findings = orphan_pub(&files);
+    for (rel, source) in &files {
+        findings.extend(scan_source(rel, source));
     }
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)

@@ -1,14 +1,18 @@
 //! Fixture-driven red/green tests for each audit rule, plus the integration
 //! test that the real workspace passes its own audit clean.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use mars_audit::{check_workspace, scan_source, Finding, Rule};
+use mars_audit::{check_workspace, orphan_pub, scan_source, Finding, Rule};
+
+fn fixture_path(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
 
 fn fixture(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name);
+    let path = fixture_path(name);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
@@ -139,6 +143,42 @@ fn relaxed_ordering_red_green() {
         &fixture("relaxed_ordering_clean.rs"),
     );
     assert!(green.is_empty(), "clean fixture flagged: {green:?}");
+}
+
+#[test]
+fn orphan_pub_red_green() {
+    // Red: a multi-file tree whose `pub` items are named only by their
+    // definition, a `pub use`, a `#[cfg(test)]` module, a `tests/` tree, a
+    // comment or a string.
+    let red = check_workspace(&fixture_path("orphan_pub_violation")).unwrap();
+    let mut items: Vec<&str> = red
+        .iter()
+        .filter(|f| f.rule == Rule::OrphanPub)
+        .map(|f| f.message.split('`').nth(1).unwrap())
+        .collect();
+    items.sort_unstable();
+    assert_eq!(
+        items,
+        [
+            "pub fn comment_only",
+            "pub fn no_caller",
+            "pub fn reexported_only",
+            "pub fn string_only",
+            "pub fn test_only",
+            "pub struct TestsDirOnly",
+        ]
+    );
+
+    // Green: callers in a sibling fn (after a `#[cfg(test)]` item), an
+    // example, a bench bin and `marsbench/src`; a pragma for the rest.
+    let green = check_workspace(&fixture_path("orphan_pub_clean")).unwrap();
+    assert!(green.is_empty(), "clean fixture flagged: {green:?}");
+
+    // The pragma, not the tree, is what clears a caller-less item.
+    let file = |src: &str| [("crates/x/src/lib.rs".to_string(), src.to_string())];
+    assert_eq!(orphan_pub(&file("pub fn twin() {}\n")).len(), 1);
+    let tagged = "// audit:allow(orphan-pub) — reference twin\npub fn twin() {}\n";
+    assert!(orphan_pub(&file(tagged)).is_empty());
 }
 
 #[test]

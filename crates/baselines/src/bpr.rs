@@ -21,12 +21,14 @@ use mars_tensor::{nonlin, ops};
 use rand::rngs::StdRng; // audit:allow(determinism) — only ever seeded (init/datagen)
 use rand::SeedableRng;
 
+/// L2 regularization weight of every BPR parameter.
+const REG: f32 = 1e-4;
+
 /// BPR matrix factorization.
 pub struct Bpr {
     cfg: BaselineConfig,
     user: EmbeddingTable,
     item: EmbeddingTable,
-    fitted: bool,
 }
 
 impl Bpr {
@@ -39,13 +41,7 @@ impl Bpr {
             user: EmbeddingTable::uniform(&mut rng, num_users, cfg.dim, scale),
             item: EmbeddingTable::uniform(&mut rng, num_items, cfg.dim, scale),
             cfg,
-            fitted: false,
         }
-    }
-
-    /// Whether `fit` has been called.
-    pub fn is_fitted(&self) -> bool {
-        self.fitted
     }
 }
 
@@ -78,13 +74,12 @@ impl TripletUpdate for Bpr {
         let x_uij = ops::dot(u, qi) - ops::dot(u, qj);
         // d/dx [−ln σ(x)] = −σ(−x)
         let coeff = nonlin::sigmoid(-x_uij);
-        let reg = self.cfg.reg;
         // Ascent updates (p_u, q_i, q_j share p_u), evaluated at the frozen
         // parameters.
         for d in 0..self.cfg.dim {
-            up[d] = coeff * (qi[d] - qj[d]) - reg * u[d];
-            ui[d] = coeff * u[d] - reg * qi[d];
-            uj[d] = -coeff * u[d] - reg * qj[d];
+            up[d] = coeff * (qi[d] - qj[d]) - REG * u[d];
+            ui[d] = coeff * u[d] - REG * qi[d];
+            uj[d] = -coeff * u[d] - REG * qj[d];
         }
         true
     }
@@ -102,7 +97,6 @@ impl ImplicitRecommender for Bpr {
     fn fit(&mut self, data: &Dataset) {
         let cfg = self.cfg.clone();
         fit_triplets(self, data, &cfg);
-        self.fitted = true;
     }
 
     fn name(&self) -> &'static str {
@@ -133,7 +127,6 @@ mod tests {
         let data = tiny_dataset();
         let mut m = Bpr::new(BaselineConfig::quick(8), data.num_users(), data.num_items());
         m.fit(&data);
-        assert!(m.is_fitted());
         for u in 0..data.num_users() as u32 {
             for v in 0..data.num_items() as u32 {
                 assert!(m.score(u, v).is_finite());
@@ -145,8 +138,9 @@ mod tests {
     fn empty_data_is_noop() {
         let data = mars_data::Dataset::leave_one_out("e", 3, 3, &vec![vec![]; 3], vec![], 0);
         let mut m = Bpr::new(BaselineConfig::quick(4), 3, 3);
+        let before = m.score(0, 0);
         m.fit(&data);
-        assert!(m.is_fitted());
+        assert_eq!(m.score(0, 0).to_bits(), before.to_bits());
     }
 
     #[test]

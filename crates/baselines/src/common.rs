@@ -28,8 +28,6 @@ pub struct BaselineConfig {
     pub batch_size: usize,
     /// Hinge margin where applicable.
     pub margin: f32,
-    /// L2 regularization weight where applicable.
-    pub reg: f32,
     /// Negatives per positive for the pointwise models (NeuMF, MetricF).
     pub negatives_per_positive: usize,
     /// Worker threads for the shared engines (shard-by-user); `0` = all
@@ -51,7 +49,6 @@ impl Default for BaselineConfig {
             epochs: 20,
             batch_size: 512,
             margin: 0.5,
-            reg: 1e-4,
             negatives_per_positive: 4,
             threads: 1,
             prefetch: true,
@@ -62,6 +59,7 @@ impl Default for BaselineConfig {
 
 impl BaselineConfig {
     /// Quick-run settings for tests.
+    // audit:allow(orphan-pub) — test support: the baselines' unit and suite tests
     pub fn quick(dim: usize) -> Self {
         Self {
             dim,

@@ -49,6 +49,7 @@ impl Nmf {
     /// Reconstruction error `‖X − WHᵀ‖²_F` over observed + a same-sized
     /// sample of unobserved entries would be expensive; for tests we expose
     /// the exact Frobenius error on small data.
+    // audit:allow(orphan-pub) — test support: NMF's monotone-decrease test
     pub fn frobenius_error(&self, data: &Dataset) -> f64 {
         let mut err = 0.0f64;
         for u in 0..data.num_users() {
@@ -66,6 +67,7 @@ impl Nmf {
     }
 
     /// All factors non-negative (the defining invariant).
+    // audit:allow(orphan-pub) — test support: NMF's nonnegativity test
     pub fn is_nonnegative(&self) -> bool {
         self.w.as_slice().iter().all(|&v| v >= 0.0) && self.h.as_slice().iter().all(|&v| v >= 0.0)
     }

@@ -26,7 +26,7 @@ fn main() {
     let dim = args.get_or("dim", 32usize);
     let epochs = args.get_or("epochs", DEFAULT_EPOCHS);
     let seed = args.get_or("seed", 7u64);
-    let edges = args.list_or("edges", &[10usize, 20, 40]);
+    let edges = args.ascending_list_or("edges", &[10usize, 20, 40]);
     args.reject_unknown();
     let ev = RankingEvaluator::paper();
 

@@ -352,6 +352,32 @@ impl Args {
         or_exit(self.try_list(key)).unwrap_or_else(|| default.to_vec())
     }
 
+    /// [`Args::try_list`] for a list that must be strictly ascending
+    /// (`difficulty --edges`): any other order is an error.
+    pub fn try_ascending_list<T: std::str::FromStr + PartialOrd>(
+        &self,
+        key: &str,
+    ) -> Result<Option<Vec<T>>, ArgError> {
+        let list = self.try_list::<T>(key)?;
+        match (&list, self.get(key)) {
+            (Some(v), Some(spec)) if !v.windows(2).all(|w| w[0] < w[1]) => Err(ArgError {
+                flag: key.to_string(),
+                value: spec.to_string(),
+                expected: "strictly ascending values",
+            }),
+            _ => Ok(list),
+        }
+    }
+
+    /// Strictly ascending list with a default; exits like [`Args::get_or`].
+    pub fn ascending_list_or<T: std::str::FromStr + PartialOrd + Clone>(
+        &self,
+        key: &str,
+        default: &[T],
+    ) -> Vec<T> {
+        or_exit(self.try_ascending_list(key)).unwrap_or_else(|| default.to_vec())
+    }
+
     /// Value of a flag that takes one of the `|`-separated words of
     /// `expected` (`default` when the flag is absent); anything else is an
     /// error.
@@ -513,6 +539,16 @@ mod tests {
         assert_eq!(a.list_or("edges", &[10usize, 20]), vec![10, 20]);
         let err = args(&["--dims", "16,3z"]).try_list::<usize>("dims");
         assert_eq!(err.unwrap_err().value, "3z");
+
+        // Bucket edges must ascend strictly, or the labels lie.
+        assert_eq!(a.ascending_list_or("dims", &[64usize]), vec![16, 32]);
+        for bad in ["40,20,10", "10,10"] {
+            let err = args(&["--edges", bad]).try_ascending_list::<usize>("edges");
+            assert_eq!(
+                err.unwrap_err().to_string(),
+                format!("invalid value '{bad}' for --edges: expected strictly ascending values")
+            );
+        }
     }
 
     #[test]

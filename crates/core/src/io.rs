@@ -297,6 +297,7 @@ fn write_v2<W: Write>(model: &MultiFacetModel, w: &mut W) -> Result<u64, Snapsho
 /// Saves in the legacy un-checksummed `MARSMDL1` format (direct write, no
 /// atomic publish). Kept for interop with pre-v2 readers and for the
 /// v1-compat tests; new code should use [`save`].
+// audit:allow(orphan-pub) — reference twin: writes the v1 format the v1-compat tests read
 pub fn save_legacy(model: &MultiFacetModel, path: &Path) -> io::Result<()> {
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC_V1)?;

@@ -49,12 +49,6 @@ impl BatchLoss {
         self.count += 1;
     }
 
-    /// Adds a facet-separation contribution that is not tied to a single
-    /// triplet (the batched engine counts each entity once per batch).
-    pub fn add_facet(&mut self, facet: f32) {
-        self.facet += facet as f64;
-    }
-
     /// Folds another accumulator in (deterministic shard-order merging).
     pub fn merge(&mut self, other: &BatchLoss) {
         self.push += other.push;
@@ -206,7 +200,7 @@ mod tests {
             pull: 0.5,
             facet: 0.5,
         });
-        b.add_facet(0.5);
+        b.facet += 0.5;
         a.merge(&b);
         assert_eq!(a.count, 2);
         assert!((a.push - 1.5).abs() < 1e-9);

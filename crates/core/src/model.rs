@@ -352,6 +352,7 @@ impl MultiFacetModel {
     /// row per triplet. The batched engine
     /// ([`MultiFacetModel::train_batch`]) is asserted numerically equivalent
     /// to it at batch size 1.
+    // audit:allow(orphan-pub) — reference twin: per-triplet step the batch-1 equivalence tests pin
     pub fn train_triplet(
         &mut self,
         t: Triplet,
@@ -483,6 +484,7 @@ impl MultiFacetModel {
 
     /// Evaluation-time loss of a triplet (no update) — used by the gradient
     /// checks and convergence tests.
+    // audit:allow(orphan-pub) — reference twin: loss oracle of the gradient checks
     pub fn triplet_loss(&self, t: Triplet, gamma: f32) -> TripletLoss {
         let k = self.cfg.facets;
         let d = self.cfg.dim;

@@ -114,6 +114,7 @@ impl Dataset {
 
     /// Whether the held-out pairs are disjoint from train (sanity invariant,
     /// checked by tests and the harness in debug builds).
+    // audit:allow(orphan-pub) — test support: split invariants of every generator
     pub fn split_is_consistent(&self) -> bool {
         self.dev
             .iter()

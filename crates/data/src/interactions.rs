@@ -168,16 +168,10 @@ impl Interactions {
     }
 
     /// Iterates all `(user, item)` pairs in user order.
+    // audit:allow(orphan-pub) — test support: generator determinism tests compare pair streams
     pub fn iter_pairs(&self) -> impl Iterator<Item = (UserId, ItemId)> + '_ {
         (0..self.num_users as UserId)
             .flat_map(move |u| self.items_of(u).iter().map(move |&v| (u, v)))
-    }
-
-    /// Per-user degrees as `f32` (used by samplers and margins).
-    pub fn user_degrees_f32(&self) -> Vec<f32> {
-        (0..self.num_users as UserId)
-            .map(|u| self.user_degree(u) as f32)
-            .collect()
     }
 
     /// Per-item degrees as `f32`.
@@ -185,16 +179,6 @@ impl Interactions {
         (0..self.num_items as ItemId)
             .map(|v| self.item_degree(v) as f32)
             .collect()
-    }
-
-    /// Returns a copy with the given pairs removed (used to carve the train
-    /// split out of the full data). Pairs not present are ignored.
-    pub fn without_pairs(&self, remove: &[(UserId, ItemId)]) -> Self {
-        use std::collections::HashSet;
-        let removal: HashSet<(UserId, ItemId)> = remove.iter().cloned().collect();
-        let kept: Vec<(UserId, ItemId)> =
-            self.iter_pairs().filter(|p| !removal.contains(p)).collect();
-        Self::from_pairs(self.num_users, self.num_items, &kept)
     }
 }
 
@@ -249,7 +233,6 @@ mod tests {
         let x = sample();
         assert_eq!(x.user_degree(1), 3);
         assert_eq!(x.item_degree(1), 2);
-        assert_eq!(x.user_degrees_f32(), vec![2.0, 3.0, 0.0]);
         assert_eq!(x.item_degrees_f32(), vec![1.0, 2.0, 1.0, 1.0]);
     }
 
@@ -262,15 +245,6 @@ mod tests {
         for u in 0..3 {
             assert_eq!(x.items_of(u), y.items_of(u));
         }
-    }
-
-    #[test]
-    fn without_pairs_removes() {
-        let x = sample();
-        let y = x.without_pairs(&[(1, 2), (2, 3)]);
-        assert!(!y.contains(1, 2));
-        assert!(y.contains(1, 1));
-        assert_eq!(y.num_interactions(), 4);
     }
 
     #[test]

@@ -8,15 +8,13 @@
 //! multi-facet spaces beating MF). This generator plants the structure the
 //! paper actually argues from:
 //!
-//! * `F` independent **facet spaces**, each a unit sphere `S^{d'−1}`;
-//! * per facet, `C` **clusters** with random unit centroids — an item gets
-//!   an independently drawn cluster *per facet* (a movie can sit in the
-//!   "romance" cluster of the genre facet and the "comedian X" cluster of
-//!   the cast facet), and its position in that facet is its centroid plus
-//!   noise, re-normalized;
+//! * `F` independent **facets**, each partitioning the catalogue into `C`
+//!   **clusters** — an item draws its cluster independently *per facet*
+//!   (a movie can sit in the "romance" cluster of the genre facet and the
+//!   "comedian X" cluster of the cast facet), from a mild skew so some
+//!   clusters are mainstream and some niche;
 //! * a **user** holds a Dirichlet mixture over facets and, within each
-//!   facet, a sharp Dirichlet preference over clusters; their position per
-//!   facet is the preference-weighted centroid mix;
+//!   facet, a sharp Dirichlet preference over clusters;
 //! * an **interaction** picks facet ~ user's facet mixture, cluster ~ the
 //!   user's in-facet preference, then an item of that cluster by
 //!   within-cluster popularity.
@@ -47,10 +45,6 @@ pub struct LatentMetricConfig {
     pub facets: usize,
     /// Clusters per facet `C`. The export label space has `F·C` categories.
     pub clusters_per_facet: usize,
-    /// Dimension of each latent facet sphere.
-    pub latent_dim: usize,
-    /// Noise scale around cluster centroids for item positions.
-    pub cluster_noise: f32,
     /// Dirichlet concentration of the user facet mixture (small = users
     /// care about few facets).
     pub facet_alpha: f64,
@@ -72,8 +66,6 @@ impl Default for LatentMetricConfig {
             num_interactions: 10_000,
             facets: 4,
             clusters_per_facet: 12,
-            latent_dim: 8,
-            cluster_noise: 0.35,
             facet_alpha: 0.3,
             cluster_alpha: 0.12,
             item_popularity_exp: 0.6,
@@ -94,7 +86,6 @@ pub fn generate_latent_metric(
     assert!(cfg.num_users > 0 && cfg.num_items > 0);
     assert!(cfg.facets > 0 && cfg.clusters_per_facet > 0);
     assert!(cfg.facets * cfg.clusters_per_facet <= u16::MAX as usize);
-    assert!(cfg.latent_dim >= 2, "latent spheres need dim ≥ 2");
     assert!(cfg.facet_alpha > 0.0 && cfg.cluster_alpha > 0.0);
     let mut rng = StdRng::seed_from_u64(cfg.seed); // audit:allow(determinism) — seeded: pure function of the seed
     let f_count = cfg.facets;
@@ -106,15 +97,12 @@ pub fn generate_latent_metric(
         .map(|c| 1.0 / (1.0 + c as f32).powf(0.3))
         .collect();
     let cluster_table = AliasTable::new(&cluster_weights);
-    // z[v][f] = cluster of item v in facet f.
-    let mut assignment = vec![vec![0u16; f_count]; cfg.num_items];
     let mut members: Vec<Vec<Vec<ItemId>>> = vec![vec![Vec::new(); c_count]; f_count];
     let mut item_categories: Vec<Vec<u16>> = Vec::with_capacity(cfg.num_items);
     for v in 0..cfg.num_items {
         let mut labels = Vec::with_capacity(f_count);
         for f in 0..f_count {
             let c = cluster_table.sample(&mut rng) as u16;
-            assignment[v][f] = c;
             members[f][c as usize].push(v as ItemId);
             labels.push((f * c_count) as u16 + c);
         }

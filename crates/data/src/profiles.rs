@@ -170,8 +170,6 @@ impl Profile {
             num_interactions: base.num_interactions,
             facets,
             clusters_per_facet: clusters,
-            latent_dim: 8,
-            cluster_noise: 0.35,
             facet_alpha,
             cluster_alpha,
             item_popularity_exp: 0.35,

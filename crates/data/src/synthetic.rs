@@ -204,6 +204,7 @@ impl SyntheticDataset {
 ///
 /// # Panics
 /// If `n`, `dim`, or `num_clusters` is zero.
+// audit:allow(orphan-pub) — test support: planted clusters for the IVF recall tests
 pub fn clustered_points(
     n: usize,
     dim: usize,

@@ -230,6 +230,7 @@ impl RankingEvaluator {
     /// time through scalar [`Scorer::score_many`] calls, negatives drawn
     /// on the fly. Kept as the reference the batched engine is checked
     /// against (`Report`s bit-equal; `crates/core/tests/eval_equivalence.rs`).
+    // audit:allow(orphan-pub) — reference twin: oracle of the batched evaluator
     pub fn evaluate_pairs_sequential<S: Scorer + ?Sized>(
         &self,
         model: &S,
@@ -311,6 +312,10 @@ impl RankingEvaluator {
     /// into the first bucket with `d <= edge`, the rest into a final
     /// overflow bucket. Returns `(label, report)` pairs. All buckets run
     /// through the batched engine on one shared worker pool.
+    ///
+    /// # Panics
+    /// If `edges` is empty or not strictly ascending (the bucket labels
+    /// would name ranges that do not exist).
     pub fn evaluate_by_user_degree<S: Scorer + Sync + ?Sized>(
         &self,
         model: &S,
@@ -318,7 +323,10 @@ impl RankingEvaluator {
         edges: &[usize],
     ) -> Vec<(String, Report)> {
         assert!(!edges.is_empty(), "need at least one bucket edge");
-        debug_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges must ascend");
+        assert!(
+            edges.windows(2).all(|w| w[0] < w[1]),
+            "edges must ascend strictly"
+        );
         let bucket_of = |degree: usize| -> usize {
             edges
                 .iter()
@@ -736,6 +744,12 @@ mod tests {
         assert_eq!(total, data.test.len());
         // Every toy user has 4 train interactions (6 distinct − dev − test).
         assert_eq!(groups[1].1.cases, data.test.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "edges must ascend strictly")]
+    fn grouped_eval_rejects_descending_edges() {
+        RankingEvaluator::paper().evaluate_by_user_degree(&Constant, &toy_dataset(), &[5, 2]);
     }
 
     #[test]

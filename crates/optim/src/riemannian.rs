@@ -37,11 +37,6 @@ impl RiemannianSgd {
         assert!(lr > 0.0 && lr.is_finite(), "invalid learning rate {lr}");
         Self { lr }
     }
-
-    /// Copy with a different learning rate (for schedules).
-    pub fn with_lr(self, lr: f32) -> Self {
-        Self::new(lr)
-    }
 }
 
 impl Optimizer for RiemannianSgd {
@@ -79,11 +74,6 @@ impl CalibratedRiemannianSgd {
     pub fn new(lr: f32) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "invalid learning rate {lr}");
         Self { lr }
-    }
-
-    /// Copy with a different learning rate (for schedules).
-    pub fn with_lr(self, lr: f32) -> Self {
-        Self::new(lr)
     }
 
     /// The angular calibration multiplier `1 + xᵀ∇f/‖∇f‖ ∈ [0, 2]`.

@@ -30,12 +30,6 @@ impl Sgd {
             max_norm: Some(max_norm),
         }
     }
-
-    /// Returns a copy with a different learning rate (for schedules).
-    pub fn with_lr(self, lr: f32) -> Self {
-        assert!(lr > 0.0 && lr.is_finite(), "invalid learning rate {lr}");
-        Self { lr, ..self }
-    }
 }
 
 impl Optimizer for Sgd {
@@ -94,6 +88,5 @@ mod tests {
     #[test]
     fn lr_accessor() {
         assert_eq!(Sgd::new(0.01).lr(), 0.01);
-        assert_eq!(Sgd::new(0.01).with_lr(0.1).lr(), 0.1);
     }
 }

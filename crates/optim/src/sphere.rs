@@ -61,6 +61,7 @@ pub fn exp_map(x: &mut [f32], z: &[f32]) {
 }
 
 /// Geodesic (great-circle) distance between two unit vectors.
+// audit:allow(orphan-pub) — test support: step-length tests of the Riemannian optimizers
 pub fn geodesic_distance(a: &[f32], b: &[f32]) -> f32 {
     ops::cosine(a, b).acos()
 }

@@ -134,6 +134,7 @@ impl<T> OneShotSlot<T> {
     }
 
     /// Whether the slot has been filled (and not yet consumed).
+    // audit:allow(orphan-pub) — test support: slot state in the one-shot protocol tests
     pub fn is_full(&self) -> bool {
         self.state.load(Ordering::Acquire) == FULL
     }

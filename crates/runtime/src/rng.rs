@@ -226,13 +226,6 @@ impl CounterRng {
         self.state = base.wrapping_add((out.len() as u64).wrapping_mul(GOLDEN));
     }
 
-    /// Next 32 uniformly distributed bits (the high half of
-    /// [`Self::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw in `0..n` by [`lemire_map`] — the shared widening
     /// multiply reduction. Bias is at most `n / 2⁶⁴` — immaterial for
     /// catalogue-sized `n` — and, unlike rejection sampling, every call

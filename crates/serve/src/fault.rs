@@ -106,19 +106,13 @@ impl<S: Scorer> FaultScorer<S> {
 
     /// Arms or disarms one fault family. Takes effect on the next score
     /// call; safe to flip from any thread while serving.
+    // audit:allow(orphan-pub) — test support: the chaos suite arms faults through it
     pub fn arm(&self, fault: Fault, on: bool) {
         match fault {
             Fault::Panic => self.panic_armed.store(on, Ordering::SeqCst),
             Fault::Nan => self.nan_armed.store(on, Ordering::SeqCst),
             Fault::Latency => self.latency_armed.store(on, Ordering::SeqCst),
         }
-    }
-
-    /// Disarms every fault family.
-    pub fn disarm_all(&self) {
-        self.arm(Fault::Panic, false);
-        self.arm(Fault::Nan, false);
-        self.arm(Fault::Latency, false);
     }
 
     /// Total score calls observed so far.

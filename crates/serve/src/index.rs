@@ -207,9 +207,9 @@ impl FacetIndex {
 /// The per-facet clustered index over one frozen model snapshot.
 ///
 /// Build once per snapshot with [`IvfIndex::build`]; probe-time knobs
-/// (`nprobe`, `mode`) can be re-tuned on a built index without
-/// re-clustering ([`IvfIndex::with_nprobe`], [`IvfIndex::with_mode`]) —
-/// the benchmark's nprobe sweep shares one build.
+/// (`nprobe`, `mode`) can be re-tuned per retriever without re-clustering
+/// ([`Retriever::with_probe`](crate::Retriever::with_probe)) — the
+/// benchmark's nprobe sweep shares one build.
 #[derive(Clone, Debug)]
 pub struct IvfIndex {
     facets: usize,
@@ -373,18 +373,6 @@ impl IvfIndex {
             mode: cfg.mode,
             per_facet,
         }
-    }
-
-    /// Re-tunes the probe width without re-clustering.
-    pub fn with_nprobe(mut self, nprobe: usize) -> Self {
-        self.nprobe = nprobe.max(1);
-        self
-    }
-
-    /// Re-tunes the probe mode without re-clustering.
-    pub fn with_mode(mut self, mode: IvfMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Cells per facet.
@@ -1043,17 +1031,16 @@ mod tests {
         assert_eq!(index.cells(), 10);
         assert_eq!(index.items(), n);
         let exact = Retriever::new(model, n);
-        let full = exact
+        let indexed = exact
             .clone()
-            .with_prebuilt_index(std::sync::Arc::new(index.clone().with_nprobe(10)));
+            .with_prebuilt_index(std::sync::Arc::new(index));
+        let full = indexed.clone().with_probe(10, IvfMode::ExactRescore);
         let q = RecQuery::top_k(0, 7);
         assert_eq!(
             bits(&full.retrieve(&q).ranked),
             bits(&exact.retrieve(&q).ranked)
         );
-        let narrow = exact
-            .clone()
-            .with_prebuilt_index(std::sync::Arc::new(index.with_nprobe(1)));
+        let narrow = indexed.with_probe(1, IvfMode::ExactRescore);
         assert!(narrow.retrieve(&q).len() <= 7);
     }
 

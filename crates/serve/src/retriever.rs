@@ -234,6 +234,7 @@ impl<S: Scorer + ?Sized> Retriever<S> {
 
     /// Overrides the scan-chunk size (min 1). Results are bit-identical
     /// at any value; this tunes throughput only.
+    // audit:allow(orphan-pub) — test support: chunk-size invariance tests
     pub fn with_chunk_items(mut self, chunk_items: usize) -> Self {
         self.chunk_items = chunk_items.max(1);
         self
@@ -330,17 +331,6 @@ impl<S: Scorer + ?Sized> Retriever<S> {
         }
         self
     }
-
-    /// The `(nprobe, mode)` this retriever probes with, if it has an index.
-    pub fn probe(&self) -> Option<(usize, IvfMode)> {
-        self.ivf.as_ref().map(|h| (h.nprobe, h.mode))
-    }
-
-    /// Detaches any IVF index: back to the exact full scan.
-    pub fn without_index(mut self) -> Self {
-        self.ivf = None;
-        self
-    }
 }
 
 impl<S: IndexEmbeddings + ?Sized> Retriever<S> {
@@ -348,13 +338,14 @@ impl<S: IndexEmbeddings + ?Sized> Retriever<S> {
     /// catalogue query through it (see [`crate::index`] for the recall /
     /// determinism trade-offs; the exact scan remains the default for
     /// retrievers that never call this).
+    // audit:allow(orphan-pub) — test support: the IVF suites build and attach in one call
     pub fn with_index(self, cfg: IvfConfig) -> Self {
         let index = IvfIndex::build(self.model.as_ref(), self.catalog_items, cfg);
         self.with_prebuilt_index(Arc::new(index))
     }
 
     /// Attaches an already-built index (e.g. one shared across retrievers,
-    /// or re-tuned via [`IvfIndex::with_nprobe`]).
+    /// then re-tuned via [`Self::with_probe`]).
     ///
     /// # Panics
     /// If the index was built over a different catalogue size.

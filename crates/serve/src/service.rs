@@ -61,7 +61,7 @@
 //!
 //! A [`ServingSnapshot`] can carry a **ladder** of retrieval rungs over
 //! the same model — typically exact scan → IVF `ExactRescore` → `Coarse`
-//! with shrinking `nprobe` ([`ServingSnapshot::ivf_ladder`]). A hysteresis
+//! with shrinking `nprobe` ([`ServingSnapshot::ladder`]). A hysteresis
 //! controller watches queue depth and recent batch latency
 //! ([`DegradeConfig`]) and steps the serving rung down under sustained
 //! pressure, back up when it clears. Responses served from rung > 0 carry
@@ -89,7 +89,6 @@
 //!
 //! [`Scorer`]: mars_metrics::Scorer
 
-use crate::index::{IndexEmbeddings, IvfConfig, IvfMode};
 use crate::query::{RecQuery, RecResponse};
 use crate::retriever::Retriever;
 use mars_data::{ItemId, UserId};
@@ -152,6 +151,7 @@ impl RecRequest {
     }
 
     /// Sets this request's latency budget (see the `budget` field).
+    // audit:allow(orphan-pub) — test support: per-request deadline tests
     pub fn within(mut self, budget: Duration) -> Self {
         self.budget = Some(budget);
         self
@@ -322,11 +322,6 @@ impl<S: ?Sized> ServingSnapshot<S> {
         Self { rungs }
     }
 
-    /// The full-fidelity rung.
-    pub fn full(&self) -> &Retriever<S> {
-        &self.rungs[0]
-    }
-
     /// Rung `i`, clamped to the deepest available.
     pub fn rung(&self, i: usize) -> &Retriever<S> {
         &self.rungs[i.min(self.rungs.len() - 1)]
@@ -341,32 +336,6 @@ impl<S: ?Sized> ServingSnapshot<S> {
 impl<S: ?Sized> From<Retriever<S>> for ServingSnapshot<S> {
     fn from(retriever: Retriever<S>) -> Self {
         Self::single(retriever)
-    }
-}
-
-impl<S: IndexEmbeddings + ?Sized> ServingSnapshot<S> {
-    /// The canonical degradation ladder over one IVF index build:
-    /// exact scan → IVF `ExactRescore` at `cfg.nprobe` → `Coarse` at
-    /// `cfg.nprobe`, then halving `nprobe` down to 1. All rungs share the
-    /// model `Arc` and one index `Arc`; only the probe fidelity differs.
-    pub fn ivf_ladder(retriever: Retriever<S>, cfg: IvfConfig) -> Self {
-        let base = cfg.nprobe.max(1);
-        let indexed = retriever.clone().with_index(cfg);
-        let mut rungs = vec![retriever.without_index()];
-        rungs.push(indexed.clone().with_probe(base, IvfMode::ExactRescore));
-        let mut np = base;
-        loop {
-            rungs.push(
-                indexed
-                    .clone()
-                    .with_probe(np, IvfMode::Coarse { refine: 2 }),
-            );
-            if np <= 1 {
-                break;
-            }
-            np /= 2;
-        }
-        Self { rungs }
     }
 }
 
@@ -605,11 +574,6 @@ impl<S: Scorer + Send + Sync + 'static> RecService<S> {
         }
     }
 
-    /// Starts with [`ServiceConfig::default`].
-    pub fn with_defaults(snapshot: impl Into<ServingSnapshot<S>>) -> Self {
-        Self::start(snapshot, ServiceConfig::default())
-    }
-
     /// The absolute deadline a request submitted now would carry.
     fn deadline_for(&self, req: &RecRequest) -> Option<Instant> {
         req.budget
@@ -707,12 +671,6 @@ impl<S: Scorer + Send + Sync + 'static> RecService<S> {
     /// The current snapshot version (0 = the one passed to `start`).
     pub fn snapshot_version(&self) -> u64 {
         self.cell.version()
-    }
-
-    /// The shared swap handle — hand this to a trainer thread so it can
-    /// publish without holding the service itself.
-    pub fn snapshot_cell(&self) -> &Arc<SnapshotCell<S>> {
-        &self.cell
     }
 
     /// The configuration the service was started with.
@@ -1079,7 +1037,7 @@ mod tests {
     #[test]
     fn candidate_requests_ride_the_queue_too() {
         let reference = Retriever::new(Hashing, 500);
-        let service = RecService::with_defaults(Retriever::new(Hashing, 500));
+        let service = RecService::start(Retriever::new(Hashing, 500), ServiceConfig::default());
         let cands: Vec<ItemId> = vec![400, 3, 77, 251, 77];
         let req = RecRequest::top_k(9, 3).among(&cands[..]);
         let got = service.retrieve(&req).unwrap();
@@ -1109,7 +1067,7 @@ mod tests {
                 }
             }
         }
-        let service = RecService::with_defaults(Retriever::new(Either::A, 64));
+        let service = RecService::start(Retriever::new(Either::A, 64), ServiceConfig::default());
         assert_eq!(service.snapshot_version(), 0);
         let req = RecRequest::top_k(3, 5);
         let before = service.retrieve(&req).unwrap();

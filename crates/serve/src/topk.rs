@@ -89,6 +89,7 @@ fn sift_down(heap: &mut [(ItemId, f32)]) {
 /// the A/B baseline the bounded-heap engine is property-tested and
 /// benchmarked against, the way `evaluate_pairs_sequential` anchors the
 /// batched evaluator.
+// audit:allow(orphan-pub) — reference twin: oracle of the bounded-heap top-k
 pub fn full_sort_top_k<S: Scorer + ?Sized>(
     model: &S,
     catalog_items: usize,

@@ -34,7 +34,6 @@ pub mod ops;
 pub mod pca;
 pub mod rows;
 pub mod simd;
-pub mod stats;
 
 pub use matrix::Matrix;
 pub use pca::Pca;
@@ -42,19 +41,3 @@ pub use pca::Pca;
 /// Tolerance used across the workspace when comparing floats in tests and
 /// when asserting the unit-sphere invariant after Riemannian updates.
 pub const EPS: f32 = 1e-5;
-
-/// Asserts (in debug builds) that two slices have equal length, returning it.
-///
-/// All binary kernels funnel through this so dimension mismatches fail loudly
-/// at the call site instead of silently truncating via `zip`.
-#[inline]
-pub fn same_len(a: &[f32], b: &[f32]) -> usize {
-    debug_assert_eq!(
-        a.len(),
-        b.len(),
-        "dimension mismatch: {} vs {}",
-        a.len(),
-        b.len()
-    );
-    a.len()
-}

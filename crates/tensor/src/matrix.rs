@@ -26,15 +26,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix of size `n × n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1.0;
-        }
-        m
-    }
-
     /// Builds a matrix from a flat row-major buffer.
     ///
     /// # Panics
@@ -155,35 +146,9 @@ impl Matrix {
         }
     }
 
-    /// Dense matrix product `C = A B` (naive triple loop; only used for small
-    /// matrices such as D×D projections in tests and PCA).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul: inner dimensions differ");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.get(i, k);
-                if a != 0.0 {
-                    ops::axpy(a, other.row(k), out.row_mut(i));
-                }
-            }
-        }
-        out
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
-    }
-
-    /// Frobenius norm `‖A‖_F`.
-    pub fn frobenius_norm(&self) -> f32 {
-        ops::norm(&self.data)
-    }
-
-    /// In-place scalar multiply.
-    pub fn scale(&mut self, alpha: f32) {
-        ops::scale(&mut self.data, alpha);
     }
 }
 
@@ -247,31 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn matmul_identity_is_noop() {
-        let m = sample();
-        let i2 = Matrix::identity(2);
-        assert_eq!(m.matmul(&i2), m);
-        let i3 = Matrix::identity(3);
-        assert_eq!(i3.matmul(&m), m);
-    }
-
-    #[test]
-    fn matmul_hand_example() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Matrix::from_vec(2, 2, vec![5.0, 6.0, 7.0, 8.0]);
-        let c = a.matmul(&b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
     fn transpose_involution() {
         let m = sample();
         assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn frobenius_norm_value() {
-        let m = Matrix::from_vec(2, 2, vec![3.0, 0.0, 0.0, 4.0]);
-        assert_eq!(m.frobenius_norm(), 5.0);
     }
 }

@@ -1,9 +1,9 @@
 //! Nonlinearities and probabilistic helpers.
 //!
 //! The per-user facet weights `Θ_u` of the paper are stored as free logits
-//! and exposed through [`softmax`]; BPR's objective needs a numerically
-//! stable [`log_sigmoid`]; the facet-separating loss (Eq. 6/12) needs
-//! [`softplus`]. All of them are written so large-magnitude inputs cannot
+//! and exposed through [`softmax`]; BPR's gradient needs a numerically
+//! stable [`sigmoid`]; the facet-separating loss (Eq. 6/12) needs
+//! [`softplus_sigmoid`]. All of them are written so large-magnitude inputs cannot
 //! overflow to `inf`/`NaN` — training loops will produce such inputs.
 
 /// Numerically stable logistic sigmoid `σ(x) = 1/(1+e^{−x})`.
@@ -18,17 +18,12 @@ pub fn sigmoid(x: f32) -> f32 {
     }
 }
 
-/// Numerically stable `log σ(x) = −softplus(−x)`.
-#[inline]
-pub fn log_sigmoid(x: f32) -> f32 {
-    -softplus(-x)
-}
-
 /// Numerically stable softplus `log(1 + e^x)`.
 ///
 /// For large `x` this is `x + log(1+e^{−x}) ≈ x`; for very negative `x` it is
 /// `e^x ≈ 0`. The naive formula overflows past `x ≈ 88` in `f32`.
 #[inline]
+// audit:allow(orphan-pub) — reference twin: oracle of `softplus_sigmoid`
 pub fn softplus(x: f32) -> f32 {
     if x > 0.0 {
         x + (-x).exp().ln_1p()
@@ -54,12 +49,6 @@ pub fn softplus_sigmoid(x: f32) -> (f32, f32) {
     }
 }
 
-/// Derivative of softplus, which is exactly the sigmoid.
-#[inline]
-pub fn softplus_grad(x: f32) -> f32 {
-    sigmoid(x)
-}
-
 /// ReLU `max(0, x)`.
 #[inline]
 pub fn relu(x: f32) -> f32 {
@@ -74,13 +63,6 @@ pub fn relu_grad(x: f32) -> f32 {
     } else {
         0.0
     }
-}
-
-/// Hinge `[x]₊ = max(0, x)` — the outer bracket of the paper's push loss
-/// (Eq. 8/15). Alias of [`relu`] with the paper's name.
-#[inline]
-pub fn hinge(x: f32) -> f32 {
-    relu(x)
 }
 
 /// Softmax of `logits` written into `out` (max-subtracted for stability).
@@ -149,13 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn log_sigmoid_no_overflow() {
-        assert!(log_sigmoid(-500.0).is_finite());
-        assert!((log_sigmoid(500.0)).abs() < 1e-6);
-        assert!((log_sigmoid(0.0) + std::f32::consts::LN_2).abs() < 1e-6);
-    }
-
-    #[test]
     fn softplus_matches_naive_in_safe_range() {
         for x in [-5.0f32, -1.0, 0.0, 1.0, 5.0] {
             let naive = (1.0 + x.exp()).ln();
@@ -192,20 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn softplus_grad_is_sigmoid() {
-        let h = 1e-3;
-        for x in [-2.0f32, -0.5, 0.0, 0.7, 3.0] {
-            let fd = (softplus(x + h) - softplus(x - h)) / (2.0 * h);
-            assert!((fd - softplus_grad(x)).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn relu_and_hinge() {
         assert_eq!(relu(-2.0), 0.0);
         assert_eq!(relu(3.0), 3.0);
-        assert_eq!(hinge(-0.5), 0.0);
-        assert_eq!(hinge(0.5), 0.5);
         assert_eq!(relu_grad(-1.0), 0.0);
         assert_eq!(relu_grad(1.0), 1.0);
     }

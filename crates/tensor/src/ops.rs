@@ -6,9 +6,9 @@
 //! explicitly vectorized layer in [`crate::simd`] (runtime-dispatched
 //! AVX2/FMA with a lane-chunked portable fallback); see that module's docs
 //! for the summation-order / determinism contract. The cold helpers
-//! (normalization, clipping, interpolation) stay as simple loops.
+//! (normalization, clipping) stay as simple loops.
 
-use crate::{same_len, simd};
+use crate::simd;
 
 /// Dot product `a · b` (chunked summation order, see [`crate::simd`]).
 #[inline]
@@ -56,32 +56,6 @@ pub fn scale(a: &mut [f32], alpha: f32) {
     }
 }
 
-/// Element-wise `out = a − b`.
-#[inline]
-pub fn sub(a: &[f32], b: &[f32], out: &mut [f32]) {
-    same_len(a, b);
-    same_len(a, out);
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x - y;
-    }
-}
-
-/// Element-wise `out = a + b`.
-#[inline]
-pub fn add(a: &[f32], b: &[f32], out: &mut [f32]) {
-    same_len(a, b);
-    same_len(a, out);
-    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
-        *o = x + y;
-    }
-}
-
-/// Copies `src` into `dst`.
-#[inline]
-pub fn copy(src: &[f32], dst: &mut [f32]) {
-    dst.copy_from_slice(src);
-}
-
 /// Sets every element to zero.
 #[inline]
 pub fn zero(a: &mut [f32]) {
@@ -123,6 +97,7 @@ pub fn normalize(a: &mut [f32]) {
 
 /// Returns a unit-normalized copy of `a` (see [`normalize`]).
 #[inline]
+// audit:allow(orphan-pub) — test support: unit-vector fixtures of the optimizer tests
 pub fn normalized(a: &[f32]) -> Vec<f32> {
     let mut out = a.to_vec();
     normalize(&mut out);
@@ -151,31 +126,6 @@ pub fn clip_norm(a: &mut [f32], max_norm: f32) {
     }
 }
 
-/// Gradient of `cos(x, y)` with respect to `x`, written into `out`.
-///
-/// For general (not necessarily unit) vectors:
-/// `∇ₓ cos(x,y) = y/(‖x‖‖y‖) − cos(x,y)·x/‖x‖²`.
-///
-/// When `‖x‖ = ‖y‖ = 1` this reduces to `y − (x·y)x`, which is already
-/// tangent to the sphere at `x`. Either input being zero yields a zero
-/// gradient (consistent with [`cosine`] returning a constant 0 there).
-pub fn cosine_grad_x(x: &[f32], y: &[f32], out: &mut [f32]) {
-    same_len(x, y);
-    same_len(x, out);
-    let nx = norm(x);
-    let ny = norm(y);
-    if nx <= f32::MIN_POSITIVE || ny <= f32::MIN_POSITIVE {
-        zero(out);
-        return;
-    }
-    let c = dot(x, y) / (nx * ny);
-    let inv = 1.0 / (nx * ny);
-    let self_coeff = c / (nx * nx);
-    for ((o, &yi), &xi) in out.iter_mut().zip(y).zip(x) {
-        *o = yi * inv - xi * self_coeff;
-    }
-}
-
 /// Index of the maximum element (first one on ties). Panics on empty input.
 #[inline]
 pub fn argmax(a: &[f32]) -> usize {
@@ -189,22 +139,6 @@ pub fn argmax(a: &[f32]) -> usize {
         }
     }
     best
-}
-
-/// Sum of all elements.
-#[inline]
-pub fn sum(a: &[f32]) -> f32 {
-    a.iter().sum()
-}
-
-/// Linear interpolation `out = (1−t)·a + t·b`.
-#[inline]
-pub fn lerp(a: &[f32], b: &[f32], t: f32, out: &mut [f32]) {
-    same_len(a, b);
-    same_len(a, out);
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = (1.0 - t) * x + t * y;
-    }
 }
 
 #[cfg(test)]
@@ -238,11 +172,6 @@ mod tests {
         let mut a = vec![2.0, -4.0];
         scale(&mut a, 0.5);
         assert_eq!(a, vec![1.0, -2.0]);
-        let mut out = vec![0.0; 2];
-        sub(&[3.0, 3.0], &[1.0, 2.0], &mut out);
-        assert_eq!(out, vec![2.0, 1.0]);
-        add(&[3.0, 3.0], &[1.0, 2.0], &mut out);
-        assert_eq!(out, vec![4.0, 5.0]);
     }
 
     #[test]
@@ -298,58 +227,8 @@ mod tests {
     }
 
     #[test]
-    fn cosine_grad_finite_difference() {
-        // Central finite differences on a handful of fixed points.
-        let xs = [
-            (vec![0.5f32, -0.2, 0.8], vec![0.1f32, 0.9, -0.3]),
-            (vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0]),
-            (vec![0.3, 0.3, 0.3], vec![-0.5, 0.2, 0.9]),
-        ];
-        let h = 1e-3f32;
-        for (x, y) in xs {
-            let mut g = vec![0.0; x.len()];
-            cosine_grad_x(&x, &y, &mut g);
-            for i in 0..x.len() {
-                let mut xp = x.clone();
-                let mut xm = x.clone();
-                xp[i] += h;
-                xm[i] -= h;
-                let fd = (cosine(&xp, &y) - cosine(&xm, &y)) / (2.0 * h);
-                assert!(
-                    (fd - g[i]).abs() < 5e-3,
-                    "grad mismatch at {i}: fd={fd} analytic={}",
-                    g[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cosine_grad_unit_inputs_is_tangent() {
-        let x = normalized(&[0.5, -0.2, 0.8]);
-        let y = normalized(&[0.1, 0.9, -0.3]);
-        let mut g = vec![0.0; 3];
-        cosine_grad_x(&x, &y, &mut g);
-        // Tangent: orthogonal to x.
-        assert!(dot(&x, &g).abs() < 1e-5);
-    }
-
-    #[test]
     fn argmax_first_on_ties() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), 1);
         assert_eq!(argmax(&[-1.0]), 0);
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = [0.0, 2.0];
-        let b = [1.0, 4.0];
-        let mut out = [0.0; 2];
-        lerp(&a, &b, 0.0, &mut out);
-        assert_eq!(out, a);
-        lerp(&a, &b, 1.0, &mut out);
-        assert_eq!(out, b);
-        lerp(&a, &b, 0.5, &mut out);
-        assert_eq!(out, [0.5, 3.0]);
     }
 }

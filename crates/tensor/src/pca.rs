@@ -96,6 +96,7 @@ impl Pca {
     }
 
     /// Explained variance (eigenvalue) per component, descending.
+    // audit:allow(orphan-pub) — test support: PCA's dominant-direction test
     pub fn explained_variance(&self) -> &[f32] {
         &self.explained
     }

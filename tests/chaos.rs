@@ -267,7 +267,7 @@ fn chaos_faults_never_strand_callers_and_the_service_recovers() {
     // equal-fidelity clones, so bit-identity keeps holding; what we
     // observe is the *controller*: the EWMA latency trigger steps the
     // rung down and the responses get flagged.
-    let current = service.snapshot().full().clone();
+    let current = service.snapshot().rung(0).clone();
     service.publish(ServingSnapshot::ladder(vec![current.clone(), current]));
     arm_all(Fault::Latency, true);
     let slow_phase = run_load(&service, reqs.min(200), None);
