@@ -167,8 +167,11 @@ impl From<io::Error> for SnapshotError {
 // CRC-32 (IEEE 802.3, the zlib/PNG polynomial), table-driven, dep-free.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `t[0]` is the classic bytewise table, and `t[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight lookups fold
+/// eight bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -181,13 +184,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            k += 1;
+        }
+        i += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Incremental CRC-32 (IEEE). `Crc32::new().update(b).finish()` matches
 /// zlib's `crc32(0, b)` — pinned by a golden-value test below.
@@ -200,11 +213,26 @@ impl Crc32 {
         Self(0xFFFF_FFFF)
     }
 
-    /// Folds `bytes` into the checksum.
+    /// Folds `bytes` into the checksum: eight bytes per step
+    /// (slicing-by-8), the tail one byte at a time.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
     }
@@ -589,6 +617,45 @@ mod tests {
         let mut c = Crc32::new();
         c.update(b"");
         assert_eq!(c.finish(), 0);
+    }
+
+    /// Bitwise CRC-32 with no table: the reference the sliced update must
+    /// match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        /// Any byte string, fed in pieces cut at arbitrary points (so the
+        /// eight-byte steps start at every alignment), checksums as the
+        /// bitwise reference does.
+        #[test]
+        fn sliced_crc32_matches_the_bitwise_reference(
+            bytes in proptest::collection::vec(0u16..256, 0..200),
+            cuts in proptest::collection::vec(0usize..200, 0..5),
+        ) {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(bytes.len())).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut start = 0;
+            for cut in cuts.into_iter().chain([bytes.len()]) {
+                crc.update(&bytes[start..cut]);
+                start = cut;
+            }
+            proptest::prop_assert_eq!(crc.finish(), crc32_bitwise(&bytes));
+        }
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! blocks of the `nprobe` cells whose centroids rank best per facet —
 //! `nprobe/c` of the catalogue instead of all of it.
 //!
+//! The K facet spaces are independent (MARS compares a user and an item
+//! only within each facet), so [`IvfIndex::build`] clusters them in
+//! parallel on up to `min(K, nproc)` threads. Each facet's k-means,
+//! assignment and store read only that facet's vectors and seed, and the
+//! partitions are kept in facet order: the layout is bit-identical at any
+//! thread count.
+//!
 //! ## The two probe modes
 //!
 //! * [`IvfMode::ExactRescore`] (default) — the index is a **candidate
@@ -45,6 +52,7 @@ use crate::retriever::RetrievalScratch;
 use crate::topk;
 use mars_data::{ItemId, UserId};
 use mars_metrics::Scorer;
+use mars_runtime::{chunk_ranges, resolve_threads, WorkerPool};
 use mars_tensor::{kmeans, rows, simd, Matrix};
 
 /// Geometry of the per-facet coarse similarity `m(q, x)` — the metric the
@@ -165,6 +173,103 @@ enum FacetStore {
 }
 
 impl FacetIndex {
+    /// Facet `f`'s partition of the first `n` items into `cells` cells,
+    /// clustered on a stride sample of `train_n` rows.
+    fn build<S: IndexEmbeddings + ?Sized>(
+        model: &S,
+        f: usize,
+        n: usize,
+        cells: usize,
+        train_n: usize,
+        cfg: &IvfConfig,
+    ) -> Self {
+        let dim = model.index_dim();
+        // Gather this facet's item vectors into one n × D matrix.
+        let mut all = Matrix::zeros(n, dim);
+        for v in 0..n {
+            model.item_index_vector(v as ItemId, f, all.row_mut(v));
+        }
+
+        // Cluster (on a deterministic stride subsample when the catalogue
+        // is large), then assign *every* item.
+        let sample = (train_n < n).then(|| {
+            let mut buf = Vec::with_capacity(train_n * dim);
+            for i in 0..train_n {
+                buf.extend_from_slice(all.row(i * n / train_n));
+            }
+            Matrix::from_vec(train_n, dim, buf)
+        });
+        let km = kmeans::kmeans(
+            sample.as_ref().unwrap_or(&all),
+            cells,
+            cfg.max_iters.max(1),
+            cfg.seed.wrapping_add(f as u64),
+        );
+        let centroids = km.centroids.as_slice();
+        let mut dists = vec![0.0f32; cells];
+        let assign: Vec<usize> = (0..n)
+            .map(|v| kmeans::nearest(all.row(v), centroids, &mut dists))
+            .collect();
+
+        // CSR membership, counting-sorted so each cell lists its items in
+        // ascending id order.
+        let mut cell_start = vec![0usize; cells + 1];
+        for &c in &assign {
+            cell_start[c + 1] += 1;
+        }
+        for c in 0..cells {
+            cell_start[c + 1] += cell_start[c];
+        }
+        let mut next = cell_start[..cells].to_vec();
+        let mut cell_items = vec![0 as ItemId; n];
+        for (v, &c) in assign.iter().enumerate() {
+            cell_items[next[c]] = v as ItemId;
+            next[c] += 1;
+        }
+
+        // Re-lay the vectors into contiguous cell blocks.
+        let store = match cfg.store {
+            CellStore::F32 => {
+                let mut data = vec![0.0f32; n * dim];
+                for (j, &v) in cell_items.iter().enumerate() {
+                    rows::row_mut(&mut data, dim, j).copy_from_slice(all.row(v as usize));
+                }
+                FacetStore::F32(data)
+            }
+            CellStore::Int8 => {
+                let mut codes = vec![0i8; n * dim];
+                let mut scales = vec![0.0f32; cells];
+                for c in 0..cells {
+                    let (s0, e0) = (cell_start[c], cell_start[c + 1]);
+                    let max_abs = cell_items[s0..e0]
+                        .iter()
+                        .flat_map(|&v| all.row(v as usize))
+                        .fold(0.0f32, |a, &x| a.max(x.abs()));
+                    let scale = max_abs / 127.0;
+                    scales[c] = scale;
+                    if scale > 0.0 && scale.is_finite() {
+                        for (j, &v) in cell_items[s0..e0].iter().enumerate() {
+                            let dst = &mut codes[(s0 + j) * dim..(s0 + j + 1) * dim];
+                            for (q, &x) in dst.iter_mut().zip(all.row(v as usize)) {
+                                // Saturating float→int cast clamps (and
+                                // maps NaN to 0).
+                                *q = (x / scale).round() as i8;
+                            }
+                        }
+                    }
+                }
+                FacetStore::Int8 { codes, scales }
+            }
+        };
+
+        Self {
+            centroids: centroids.to_vec(),
+            cell_start,
+            cell_items,
+            store,
+        }
+    }
+
     #[inline]
     fn cells(&self) -> usize {
         self.cell_start.len() - 1
@@ -230,12 +335,30 @@ impl IvfIndex {
     /// ascending id). Non-finite embedding values never panic — they can
     /// only make the affected cells rank like any other hostile score.
     ///
+    /// The K facets are clustered in parallel, on up to `min(K, nproc)`
+    /// threads of a [`WorkerPool`] that lives for this call (one thread
+    /// spawns nothing). Each facet's partition reads only that facet's
+    /// vectors and seed, and the partitions are concatenated in facet
+    /// order, so the layout is bit-identical at every thread count. A panic
+    /// in `model` is re-raised here once every other facet has finished.
+    ///
     /// # Panics
     /// If `catalog_items == 0` or the model reports zero facets/dim.
-    pub fn build<S: IndexEmbeddings + ?Sized>(
+    pub fn build<S: IndexEmbeddings + Sync + ?Sized>(
         model: &S,
         catalog_items: usize,
         cfg: IvfConfig,
+    ) -> Self {
+        let threads = resolve_threads(0).min(model.num_index_facets());
+        Self::build_on(model, catalog_items, cfg, threads)
+    }
+
+    /// [`Self::build`] on `threads` threads (min 1, at most one per facet).
+    fn build_on<S: IndexEmbeddings + Sync + ?Sized>(
+        model: &S,
+        catalog_items: usize,
+        cfg: IvfConfig,
+        threads: usize,
     ) -> Self {
         let n = catalog_items;
         let facets = model.num_index_facets();
@@ -255,113 +378,16 @@ impl IvfIndex {
         }
         .min(train_n);
 
-        let per_facet = (0..facets)
-            .map(|f| {
-                // Gather this facet's item vectors into one flat n × D buffer.
-                let mut all = vec![0.0f32; n * dim];
-                for v in 0..n {
-                    model.item_index_vector(v as ItemId, f, rows::row_mut(&mut all, dim, v));
-                }
-
-                // Cluster (on a deterministic stride subsample when the
-                // catalogue is large), then assign *every* item.
-                let train = if train_n < n {
-                    let mut buf = Vec::with_capacity(train_n * dim);
-                    for i in 0..train_n {
-                        buf.extend_from_slice(rows::row(&all, dim, i * n / train_n));
-                    }
-                    Matrix::from_vec(train_n, dim, buf)
-                } else {
-                    Matrix::from_vec(n, dim, all.clone())
-                };
-                let km = kmeans::kmeans(
-                    &train,
-                    cells,
-                    cfg.max_iters.max(1),
-                    cfg.seed.wrapping_add(f as u64),
-                );
-
-                let mut dists = vec![0.0f32; cells];
-                let mut assign = vec![0usize; n];
-                for (v, a) in assign.iter_mut().enumerate() {
-                    rows::dist_sq_one_rows(
-                        rows::row(&all, dim, v),
-                        km.centroids.as_slice(),
-                        &mut dists,
-                    );
-                    // Keep-first argmin: NaN distances never win, all-NaN
-                    // rows land in cell 0 — degraded placement, no panic.
-                    let mut best = 0;
-                    let mut best_d = f32::INFINITY;
-                    for (c, &d) in dists.iter().enumerate() {
-                        if d < best_d {
-                            best_d = d;
-                            best = c;
-                        }
-                    }
-                    *a = best;
-                }
-
-                // CSR membership, counting-sorted so each cell lists its
-                // items in ascending id order.
-                let mut cell_start = vec![0usize; cells + 1];
-                for &c in &assign {
-                    cell_start[c + 1] += 1;
-                }
-                for c in 0..cells {
-                    cell_start[c + 1] += cell_start[c];
-                }
-                let mut next = cell_start[..cells].to_vec();
-                let mut cell_items = vec![0 as ItemId; n];
-                for (v, &c) in assign.iter().enumerate() {
-                    cell_items[next[c]] = v as ItemId;
-                    next[c] += 1;
-                }
-
-                // Re-lay the vectors into contiguous cell blocks.
-                let store = match cfg.store {
-                    CellStore::F32 => {
-                        let mut data = vec![0.0f32; n * dim];
-                        for (j, &v) in cell_items.iter().enumerate() {
-                            rows::row_mut(&mut data, dim, j)
-                                .copy_from_slice(rows::row(&all, dim, v as usize));
-                        }
-                        FacetStore::F32(data)
-                    }
-                    CellStore::Int8 => {
-                        let mut codes = vec![0i8; n * dim];
-                        let mut scales = vec![0.0f32; cells];
-                        for c in 0..cells {
-                            let (s0, e0) = (cell_start[c], cell_start[c + 1]);
-                            let max_abs = cell_items[s0..e0]
-                                .iter()
-                                .flat_map(|&v| rows::row(&all, dim, v as usize))
-                                .fold(0.0f32, |a, &x| a.max(x.abs()));
-                            let scale = max_abs / 127.0;
-                            scales[c] = scale;
-                            if scale > 0.0 && scale.is_finite() {
-                                for (j, &v) in cell_items[s0..e0].iter().enumerate() {
-                                    let src = rows::row(&all, dim, v as usize);
-                                    let dst = &mut codes[(s0 + j) * dim..(s0 + j + 1) * dim];
-                                    for (q, &x) in dst.iter_mut().zip(src) {
-                                        // Saturating float→int cast clamps
-                                        // (and maps NaN to 0).
-                                        *q = (x / scale).round() as i8;
-                                    }
-                                }
-                            }
-                        }
-                        FacetStore::Int8 { codes, scales }
-                    }
-                };
-
-                FacetIndex {
-                    centroids: km.centroids.as_slice().to_vec(),
-                    cell_start,
-                    cell_items,
-                    store,
-                }
+        let pool = WorkerPool::new(threads.min(facets));
+        let mut shards = chunk_ranges(facets, pool.workers());
+        let per_facet = pool
+            .scatter(&mut shards, |_, fs| {
+                fs.clone()
+                    .map(|f| FacetIndex::build(model, f, n, cells, train_n, &cfg))
+                    .collect::<Vec<_>>()
             })
+            .into_iter()
+            .flatten()
             .collect();
 
         Self {
@@ -965,7 +991,8 @@ mod tests {
     fn hostile_embeddings_never_panic_and_keep_the_total_order() {
         // NaN / ±∞ vectors and weights flow through build, cell ranking,
         // both stores and all modes without panicking; the result is still
-        // rank_cmp-ordered and seen-filtered.
+        // rank_cmp-ordered and seen-filtered — with the index built by
+        // `with_index` and by a 4-thread build (one thread per facet).
         let n = 64;
         let (facets, dim) = (2, 3);
         let mut model = ToyEmb::clustered(IndexMetric::InnerProduct, n, 2, facets, dim);
@@ -986,7 +1013,14 @@ mod tests {
                 IvfMode::Coarse { refine: 0 },
                 IvfMode::Coarse { refine: 3 },
             ] {
-                let r = Retriever::new(
+                let cfg = IvfConfig {
+                    cells: 5,
+                    nprobe: 3,
+                    store,
+                    mode,
+                    ..IvfConfig::default()
+                };
+                let base = Retriever::new(
                     ToyEmb {
                         facets,
                         dim,
@@ -996,21 +1030,20 @@ mod tests {
                         weights: model.weights.clone(),
                     },
                     n,
-                )
-                .with_index(IvfConfig {
-                    cells: 5,
-                    nprobe: 3,
-                    store,
-                    mode,
-                    ..IvfConfig::default()
-                });
-                for u in 0..2 {
-                    let got = r.retrieve(&RecQuery::top_k(u, 9).excluding(&seen));
-                    assert!(got.len() <= 9);
-                    for w in got.ranked.windows(2) {
-                        assert_ne!(rank_cmp(w[1], w[0]), std::cmp::Ordering::Less);
+                );
+                let threaded = IvfIndex::build_on(base.model().as_ref(), n, cfg, 4);
+                for r in [
+                    base.clone().with_index(cfg),
+                    base.with_prebuilt_index(std::sync::Arc::new(threaded)),
+                ] {
+                    for u in 0..2 {
+                        let got = r.retrieve(&RecQuery::top_k(u, 9).excluding(&seen));
+                        assert!(got.len() <= 9);
+                        for w in got.ranked.windows(2) {
+                            assert_ne!(rank_cmp(w[1], w[0]), std::cmp::Ordering::Less);
+                        }
+                        assert!(got.items().iter().all(|v| seen.binary_search(v).is_err()));
                     }
-                    assert!(got.items().iter().all(|v| seen.binary_search(v).is_err()));
                 }
             }
         }
@@ -1042,6 +1075,121 @@ mod tests {
         );
         let narrow = indexed.with_probe(1, IvfMode::ExactRescore);
         assert!(narrow.retrieve(&q).len() <= 7);
+    }
+
+    /// FNV-1a over every bit of a layout: centroids, CSR offsets, cell
+    /// members and the store.
+    fn layout_hash(index: &IvfIndex) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for fx in &index.per_facet {
+            fx.centroids.iter().for_each(|x| eat(x.to_bits() as u64));
+            fx.cell_start.iter().for_each(|&s| eat(s as u64));
+            fx.cell_items.iter().for_each(|&v| eat(v as u64));
+            match &fx.store {
+                FacetStore::F32(data) => data.iter().for_each(|x| eat(x.to_bits() as u64)),
+                FacetStore::Int8 { codes, scales } => {
+                    codes.iter().for_each(|&q| eat(q as u8 as u64));
+                    scales.iter().for_each(|x| eat(x.to_bits() as u64));
+                }
+            }
+        }
+        h
+    }
+
+    /// The layout is the same at every build thread count — and the same
+    /// as the serial build's, whose hashes these literals pin (the metric
+    /// only names the geometry the cells are ranked under; k-means always
+    /// clusters in L2, so both metrics share a layout).
+    #[test]
+    fn layout_is_bit_identical_at_every_thread_count() {
+        let pinned = [
+            0x4d0c_0ef0_b408_5d30u64,
+            0xd60b_4e0c_74be_4716,
+            0xa47a_ab7c_9aa3_710d,
+            0x2f6f_72a6_399c_7f42,
+        ];
+        for metric in [IndexMetric::InnerProduct, IndexMetric::NegSquaredL2] {
+            let model = ToyEmb::clustered(metric, 500, 1, 5, 4);
+            let cfgs = [CellStore::F32, CellStore::Int8]
+                .into_iter()
+                .flat_map(|store| [0, 300].map(|train_sample| (store, train_sample)));
+            for ((store, train_sample), &pin) in cfgs.zip(&pinned) {
+                let cfg = IvfConfig {
+                    store,
+                    train_sample,
+                    seed: 3,
+                    ..IvfConfig::default()
+                };
+                for threads in 1..=4 {
+                    let index = IvfIndex::build_on(&model, 500, cfg, threads);
+                    assert_eq!(
+                        layout_hash(&index),
+                        pin,
+                        "{metric:?} {store:?} train_sample={train_sample} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A model that panics while the index is gathered from facet K−1:
+    /// `build` re-raises that panic only after every other facet's work has
+    /// finished, so nothing outlives the call.
+    #[test]
+    fn a_panicking_facet_is_re_raised_after_the_others_finish() {
+        struct Poisoned {
+            inner: ToyEmb,
+            reads: std::sync::atomic::AtomicUsize,
+        }
+        impl Scorer for Poisoned {
+            fn score(&self, u: UserId, v: ItemId) -> f32 {
+                self.inner.score(u, v)
+            }
+        }
+        impl IndexEmbeddings for Poisoned {
+            fn num_index_facets(&self) -> usize {
+                self.inner.facets
+            }
+            fn index_dim(&self) -> usize {
+                self.inner.dim
+            }
+            fn index_metric(&self) -> IndexMetric {
+                self.inner.metric
+            }
+            fn item_index_vector(&self, v: ItemId, f: usize, out: &mut [f32]) {
+                assert!(f + 1 < self.inner.facets, "facet {f} is poisoned");
+                self.inner.item_index_vector(v, f, out);
+                self.reads.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            fn query_index_vector(&self, user: UserId, f: usize, out: &mut [f32]) -> f32 {
+                self.inner.query_index_vector(user, f, out)
+            }
+        }
+
+        let n = 2000;
+        let model = Poisoned {
+            inner: ToyEmb::clustered(IndexMetric::InnerProduct, n, 1, 4, 8),
+            reads: Default::default(),
+        };
+        for threads in [1, 2, 4] {
+            model.reads.store(0, std::sync::atomic::Ordering::SeqCst);
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                IvfIndex::build_on(&model, n, IvfConfig::default(), threads)
+            }))
+            .expect_err("the poisoned facet must panic");
+            let msg = err.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("facet 3 is poisoned"), "threads={threads}");
+            // The serial path stops at facet 3 after reading facets 0–2;
+            // with more threads facet 3 can fail first, yet every other
+            // facet still completes before the panic surfaces.
+            let reads = model.reads.load(std::sync::atomic::Ordering::SeqCst);
+            assert_eq!(reads, 3 * n, "threads={threads}");
+        }
     }
 
     #[test]

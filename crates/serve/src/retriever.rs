@@ -333,7 +333,7 @@ impl<S: Scorer + ?Sized> Retriever<S> {
     }
 }
 
-impl<S: IndexEmbeddings + ?Sized> Retriever<S> {
+impl<S: IndexEmbeddings + Sync + ?Sized> Retriever<S> {
     /// Builds an IVF index over the served snapshot and routes every
     /// catalogue query through it (see [`crate::index`] for the recall /
     /// determinism trade-offs; the exact scan remains the default for
